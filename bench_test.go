@@ -238,65 +238,17 @@ func BenchmarkRunAllParallel8(b *testing.B) {
 
 // --- substrate micro-benchmarks -----------------------------------------
 
-func benchRecords(n int) []flowrec.Record {
+// benchBatch returns n flows of one synthetic ISP-CE hour, repeating the
+// hour when it has fewer.
+func benchBatch(n int) *flowrec.Batch {
 	g := synth.MustNewDefault(synth.ISPCE)
-	recs := g.FlowsForHour(time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC))
-	for len(recs) < n {
-		recs = append(recs, recs...)
+	hour := g.FlowsForHourBatch(time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC))
+	out := flowrec.NewBatch(n)
+	for out.Len() < n {
+		out.AppendBatch(hour)
 	}
-	return recs[:n]
-}
-
-func BenchmarkCodecNetflowV5(b *testing.B) {
-	recs := benchRecords(netflow.V5MaxRecords)
-	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt, err := netflow.EncodeV5(recs, export, uint32(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := netflow.DecodeV5(pkt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(netflow.V5MaxRecords), "records/op")
-}
-
-func BenchmarkCodecNetflowV9(b *testing.B) {
-	recs := benchRecords(100)
-	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
-	enc := &netflow.V9Encoder{SourceID: 1}
-	dec := netflow.NewV9Decoder()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt, err := enc.Encode(recs, export)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dec.Decode(pkt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100, "records/op")
-}
-
-func BenchmarkCodecIPFIX(b *testing.B) {
-	recs := benchRecords(100)
-	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
-	enc := &ipfix.Encoder{DomainID: 1}
-	dec := ipfix.NewDecoder()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msg, err := enc.Encode(recs, export)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dec.Decode(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100, "records/op")
+	out.Truncate(n)
+	return out
 }
 
 // --- batch-path micro-benchmarks ----------------------------------------
@@ -307,14 +259,14 @@ func BenchmarkCodecIPFIX(b *testing.B) {
 // more than 10% against the BENCH_pr2.json baseline (~0 allocs/op).
 
 func BenchmarkCodecNetflowV5Batch(b *testing.B) {
-	src := flowrec.FromRecords(benchRecords(netflow.V5MaxRecords))
+	src := benchBatch(netflow.V5MaxRecords)
 	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
 	var buf []byte
 	dec := flowrec.NewBatch(netflow.V5MaxRecords)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = netflow.EncodeV5Batch(buf[:0], src, 0, src.Len(), export, uint32(i))
+		buf, err = netflow.EncodeV5StreamBatch(buf[:0], src, 0, src.Len(), export, uint32(i), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -327,7 +279,7 @@ func BenchmarkCodecNetflowV5Batch(b *testing.B) {
 }
 
 func BenchmarkCodecNetflowV9Batch(b *testing.B) {
-	src := flowrec.FromRecords(benchRecords(100))
+	src := benchBatch(100)
 	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
 	enc := &netflow.V9Encoder{SourceID: 1}
 	decoder := netflow.NewV9Decoder()
@@ -349,7 +301,7 @@ func BenchmarkCodecNetflowV9Batch(b *testing.B) {
 }
 
 func BenchmarkCodecIPFIXBatch(b *testing.B) {
-	src := flowrec.FromRecords(benchRecords(100))
+	src := benchBatch(100)
 	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
 	enc := &ipfix.Encoder{DomainID: 1}
 	decoder := ipfix.NewDecoder()
@@ -383,25 +335,14 @@ func BenchmarkGeneratorFlowsForHourBatch(b *testing.B) {
 	b.ReportMetric(float64(n), "flows/op")
 }
 
-// The Scan pair quantifies the aggregation speedup of the columnar
-// layout: identical classification work over a record slice vs a batch.
-
-func BenchmarkScanClassifyRecords(b *testing.B) {
-	recs := benchRecords(4096)
-	clf := appclass.NewDefault(nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = clf.VolumeByClass(recs)
-	}
-	b.ReportMetric(4096, "records/op")
-}
-
 func BenchmarkScanClassifyBatch(b *testing.B) {
-	batch := flowrec.FromRecords(benchRecords(4096))
+	batch := benchBatch(4096)
 	clf := appclass.NewDefault(nil)
+	vol := make(map[appclass.Class]float64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = clf.VolumeByClassBatch(batch)
+		clear(vol)
+		clf.VolumeByClassInto(vol, batch)
 	}
 	b.ReportMetric(4096, "records/op")
 }
@@ -413,15 +354,4 @@ func BenchmarkGeneratorHourlyVolume(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = g.HourlyVolume(t.Add(time.Duration(i%168) * time.Hour))
 	}
-}
-
-func BenchmarkGeneratorFlowsForHour(b *testing.B) {
-	g := synth.MustNewDefault(synth.ISPCE)
-	t := time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = len(g.FlowsForHour(t.Add(time.Duration(i%168) * time.Hour)))
-	}
-	b.ReportMetric(float64(n), "flows/op")
 }

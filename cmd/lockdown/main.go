@@ -114,6 +114,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -305,6 +306,9 @@ func run(ctx context.Context, args []string) error {
 		}
 		if *csvOut && *jsonOut {
 			return fmt.Errorf("-csv and -json are mutually exclusive")
+		}
+		if err := checkScale(*scale); err != nil {
+			return fmt.Errorf("-scale: %w", err)
 		}
 		// The flag set is shared across subcommands; reject flags that do
 		// not apply to the one being run instead of silently ignoring them.
@@ -778,5 +782,18 @@ func parseSize(s string) (int64, error) {
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("invalid size %q", s)
 	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("size %q overflows 64 bits", s)
+	}
 	return n * mult, nil
+}
+
+// checkScale rejects -scale values that would silently sample a wrong
+// flow count: NaN and ±Inf turn into garbage per-hour counts, and a
+// negative density means nothing. 0 keeps meaning "the default".
+func checkScale(v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return fmt.Errorf("invalid scale %v (want a finite number >= 0; 0 = default)", v)
+	}
+	return nil
 }

@@ -300,24 +300,6 @@ func (c *Classifier) Inventory() []InventoryRow {
 	return rows
 }
 
-// VolumeByClass aggregates the byte volume of the records per class.
-func (c *Classifier) VolumeByClass(recs []flowrec.Record) map[Class]float64 {
-	out := make(map[Class]float64)
-	for _, r := range recs {
-		out[c.Classify(r)] += float64(r.Bytes)
-	}
-	return out
-}
-
-// VolumeByClassBatch is VolumeByClass over a columnar batch: it scans the
-// AS, port and byte columns directly, accumulating in row order so the
-// sums are bit-identical to the record path.
-func (c *Classifier) VolumeByClassBatch(b *flowrec.Batch) map[Class]float64 {
-	out := make(map[Class]float64)
-	c.VolumeByClassInto(out, b)
-	return out
-}
-
 // VolumeByClassInto accumulates the batch's per-class byte volume into
 // sums, letting multi-batch scans (a week of component-hours) share one
 // result map.

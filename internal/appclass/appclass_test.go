@@ -116,9 +116,10 @@ func TestVolumeByClass(t *testing.T) {
 		record(2906, 64700, flowrec.ProtoTCP, 443),
 		record(32934, 64700, flowrec.ProtoTCP, 443),
 	}
-	v := c.VolumeByClass(recs)
+	v := make(map[Class]float64)
+	c.VolumeByClassInto(v, flowrec.FromRecords(recs))
 	if v[VoD] != 2000 || v[SocialMedia] != 1000 {
-		t.Errorf("VolumeByClass = %v", v)
+		t.Errorf("VolumeByClassInto = %v", v)
 	}
 }
 

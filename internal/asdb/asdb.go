@@ -62,9 +62,6 @@ type AS struct {
 	prefix netip.Prefix
 }
 
-// Prefix returns the synthetic IPv4 prefix assigned to the AS.
-func (a AS) Prefix() netip.Prefix { return a.prefix }
-
 // String renders "Org (AS15169)".
 func (a AS) String() string { return fmt.Sprintf("%s (AS%d)", a.Org, a.ASN) }
 
@@ -161,9 +158,6 @@ func (r *Registry) IsHypergiant(asn uint32) bool {
 	a, ok := r.byASN[asn]
 	return ok && a.Hypergiant
 }
-
-// Eyeballs returns the eyeball (residential broadband) ASes.
-func (r *Registry) Eyeballs() []AS { return r.OfCategory(CatEyeball) }
 
 // Len returns the number of registered ASes.
 func (r *Registry) Len() int { return len(r.ordered) }

@@ -41,7 +41,7 @@ func TestPrefixAssignmentDisjoint(t *testing.T) {
 	r := Default()
 	seen := map[netip.Prefix]uint32{}
 	for _, a := range r.All() {
-		p := a.Prefix()
+		p := a.prefix
 		if !p.IsValid() {
 			t.Fatalf("AS%d has no prefix", a.ASN)
 		}
@@ -89,7 +89,7 @@ func TestAddrForAvoidsNetworkAddress(t *testing.T) {
 
 func TestOfCategoryAndEyeballs(t *testing.T) {
 	r := Default()
-	if got := len(r.Eyeballs()); got < 5 {
+	if got := len(r.OfCategory(CatEyeball)); got < 5 {
 		t.Errorf("expected several eyeball ASes, got %d", got)
 	}
 	for _, a := range r.OfCategory(CatGaming) {

@@ -94,21 +94,6 @@ func TestISOWeek(t *testing.T) {
 	}
 }
 
-func TestWeekStart(t *testing.T) {
-	// Mar 25, 2020 is a Wednesday; its ISO week starts Monday Mar 23.
-	if got := WeekStart(date(2020, 3, 25)); got != date(2020, 3, 23) {
-		t.Errorf("WeekStart = %v, want 2020-03-23", got)
-	}
-	// Sunday belongs to the week starting the previous Monday.
-	if got := WeekStart(date(2020, 3, 22)); got != date(2020, 3, 16) {
-		t.Errorf("WeekStart of Sunday = %v, want 2020-03-16", got)
-	}
-	// A Monday is its own week start.
-	if got := WeekStart(date(2020, 3, 23).Add(5 * time.Hour)); got != date(2020, 3, 23) {
-		t.Errorf("WeekStart of Monday = %v, want 2020-03-23", got)
-	}
-}
-
 func TestDayStartAndDays(t *testing.T) {
 	ts := time.Date(2020, 3, 25, 17, 45, 12, 0, time.UTC)
 	if DayStart(ts) != date(2020, 3, 25) {
@@ -123,8 +108,24 @@ func TestDayStartAndDays(t *testing.T) {
 	}
 }
 
+// monday returns the Monday 00:00 UTC of the ISO week containing t.
+func monday(t time.Time) time.Time {
+	d := DayStart(t)
+	return d.AddDate(0, 0, -((int(d.Weekday()) + 6) % 7))
+}
+
+// studyWeeks returns the Monday start of every ISO calendar week the
+// study window touches, keyed by ISO week number.
+func studyWeeks() map[int]time.Time {
+	out := make(map[int]time.Time)
+	for _, d := range Days(StudyStart, StudyEnd) {
+		out[ISOWeek(d)] = monday(d)
+	}
+	return out
+}
+
 func TestStudyWeeks(t *testing.T) {
-	sw := StudyWeeks()
+	sw := studyWeeks()
 	if _, ok := sw[3]; !ok {
 		t.Fatal("study weeks missing week 3 (the Figure 1 baseline)")
 	}
@@ -137,9 +138,9 @@ func TestStudyWeeks(t *testing.T) {
 }
 
 // TestStudyWindowWeekBoundaries pins the ISO-week boundary behaviour of
-// the study window, end to end across StudyWeeks, WeekStart and ISOWeek.
+// the study window, end to end across ISOWeek and the week anchors.
 // The subtle cases: 2020 began on a Wednesday, so week 1's Monday is
-// December 30, 2019 (before StudyStart, documented on StudyWeeks), and
+// December 30, 2019 (one and a half days before StudyStart), and
 // the exclusive StudyEnd (May 18) is itself the Monday of week 21, so
 // week 20 (May 11-17) is the last week in the window.
 func TestStudyWindowWeekBoundaries(t *testing.T) {
@@ -161,20 +162,23 @@ func TestStudyWindowWeekBoundaries(t *testing.T) {
 			if got := ISOWeek(c.day); got != c.isoWeek {
 				t.Errorf("ISOWeek(%v) = %d, want %d", c.day, got, c.isoWeek)
 			}
-			if got := WeekStart(c.day); got != c.weekStart {
-				t.Errorf("WeekStart(%v) = %v, want %v", c.day, got, c.weekStart)
+			if got := monday(c.day); got != c.weekStart {
+				t.Errorf("week of %v starts %v, want %v", c.day, got, c.weekStart)
+			}
+			if got := ISOWeek(c.weekStart); got != c.isoWeek {
+				t.Errorf("ISOWeek(%v) = %d, want %d", c.weekStart, got, c.isoWeek)
 			}
 		})
 	}
 
-	sw := StudyWeeks()
+	sw := studyWeeks()
 	if len(sw) != 20 {
-		t.Fatalf("StudyWeeks returned %d weeks, want 20 (weeks 1-20 of 2020)", len(sw))
+		t.Fatalf("the study window touches %d weeks, want 20 (weeks 1-20 of 2020)", len(sw))
 	}
 	for wk := 1; wk <= 20; wk++ {
 		start, ok := sw[wk]
 		if !ok {
-			t.Fatalf("StudyWeeks missing week %d", wk)
+			t.Fatalf("study weeks miss week %d", wk)
 		}
 		if start.Weekday() != time.Monday {
 			t.Errorf("week %d starts on %v, want Monday", wk, start.Weekday())
@@ -187,7 +191,7 @@ func TestStudyWindowWeekBoundaries(t *testing.T) {
 		t.Errorf("week 1 starts %v, want %v (the documented pre-StudyStart Monday)", sw[1], want)
 	}
 	if _, ok := sw[21]; ok {
-		t.Errorf("StudyWeeks includes week 21; StudyEnd is exclusive")
+		t.Errorf("study weeks include week 21; StudyEnd is exclusive")
 	}
 	if want := date(2020, 5, 11); sw[20] != want {
 		t.Errorf("week 20 starts %v, want %v", sw[20], want)
@@ -221,6 +225,8 @@ func TestHolidaySet(t *testing.T) {
 	}
 }
 
+// TestPhaseOf pins which lockdown phase each probe day falls in, read
+// off the Figure 3a analysis weeks that contain it.
 func TestPhaseOf(t *testing.T) {
 	cases := []struct {
 		d    time.Time
@@ -232,8 +238,14 @@ func TestPhaseOf(t *testing.T) {
 		{date(2020, 5, 12), PhaseStage3},
 	}
 	for _, c := range cases {
-		if got := PhaseOf(c.d); got != c.want {
-			t.Errorf("PhaseOf(%v) = %v, want %v", c.d, got, c.want)
+		var in []Phase
+		for _, w := range ISPWeeks() {
+			if w.Contains(c.d) {
+				in = append(in, w.Phase)
+			}
+		}
+		if len(in) != 1 || in[0] != c.want {
+			t.Errorf("%v lies in the analysis weeks of phases %v, want exactly %v", c.d, in, c.want)
 		}
 	}
 }

@@ -1,22 +1,16 @@
 // Package collector turns wire-format flow export (NetFlow v5/v9, IPFIX)
-// into streams of flow records, and provides the matching exporters. It
-// is the glue that lets the analysis pipeline consume either live UDP
-// export (as the vantage points of "The Lockdown Effect" (IMC 2020) do)
-// or in-memory record batches
-// (as the synthetic generator produces).
+// into streams of columnar flow batches, and provides the matching
+// exporters. It is the glue that lets the analysis pipeline consume live
+// UDP export, as the vantage points of "The Lockdown Effect" (IMC 2020)
+// do.
 //
-// The collector has three delivery modes. NewBatchCollector streams one
-// columnar flowrec.Batch per decoded datagram on Batches(); the batches
-// come from the flowrec pool, so a consumer that returns them with
-// flowrec.PutBatch keeps the receive loop allocation-free.
-// NewTaggedCollector is batch mode with exporter attribution: each batch
-// is delivered on Tagged() together with the stream identity carried in
-// the datagram header (IPFIX observation domain, NetFlow v9 source ID,
+// A Collector delivers one flowrec.Batch per decoded datagram on
+// Tagged(), together with the exporter stream identity carried in the
+// datagram header (IPFIX observation domain, NetFlow v9 source ID,
 // NetFlow v5 engine ID — see StreamID), which is what lets one collector
-// socket demux the interleaved export of several pumps. NewCollector
-// delivers individual records on Records() for legacy consumers; it
-// decodes into one reused scratch batch, so only the channel sends
-// remain per-record work.
+// socket demux the interleaved export of several pumps. The batches come
+// from the flowrec pool, so a consumer that returns them with
+// flowrec.PutBatch keeps the receive loop allocation-free.
 //
 // Datagrams prefixed with ControlMagic are not flow export: they are
 // delivered verbatim on Control(), giving in-band protocols (the
@@ -119,35 +113,23 @@ func StreamID(format Format, pkt []byte) uint32 {
 // engine ID field is a single byte.
 const MaxV5Stream = 0xFF
 
-// TaggedBatch is one decoded datagram of a tagged-mode collector: the
-// batch plus the exporter stream it came from.
+// TaggedBatch is one decoded datagram: the batch plus the exporter
+// stream it came from.
 type TaggedBatch struct {
 	Stream uint32
 	Batch  *flowrec.Batch
 }
 
-// Delivery modes of a Collector.
-type mode int
-
-const (
-	recordMode mode = iota
-	batchMode
-	taggedMode
-)
-
 // Collector listens on a UDP socket, decodes arriving export packets and
-// delivers them on its channel — whole batches in batch or tagged mode,
-// individual records otherwise. It is safe to run one goroutine per
-// Collector; Close releases the socket and closes the delivery channel.
+// delivers them as tagged batches on its channel. It is safe to run one
+// goroutine per Collector; Close releases the socket and closes the
+// delivery channel.
 type Collector struct {
-	format  Format
-	conn    *net.UDPConn
-	mode    mode
-	out     chan flowrec.Record
-	batches chan *flowrec.Batch
-	tagged  chan TaggedBatch
-	ctrl    chan []byte
-	errs    chan error
+	format Format
+	conn   *net.UDPConn
+	tagged chan TaggedBatch
+	ctrl   chan []byte
+	errs   chan error
 
 	v9  *netflow.V9Decoder
 	ipf *ipfix.Decoder
@@ -188,30 +170,13 @@ func (c *Collector) Instrument(reg *obs.Registry) {
 	})
 }
 
-// NewCollector opens a UDP listener on addr ("127.0.0.1:0" for an
-// ephemeral port) for the given format, delivering individual records on
-// Records(). Call Run to start receiving.
-func NewCollector(format Format, addr string) (*Collector, error) {
-	return newCollector(format, addr, recordMode)
-}
-
-// NewBatchCollector is NewCollector in batch mode: every decoded datagram
-// is delivered as one columnar batch on Batches(). Batches are drawn from
-// the flowrec pool; consumers should hand processed batches back with
-// flowrec.PutBatch to keep the receive path allocation-free.
-func NewBatchCollector(format Format, addr string) (*Collector, error) {
-	return newCollector(format, addr, batchMode)
-}
-
-// NewTaggedCollector is NewBatchCollector with exporter attribution:
-// every decoded datagram is delivered on Tagged() as a TaggedBatch
-// carrying the stream identity of its header (see StreamID). The replay
-// bridge uses it to demux the interleaved export of several pumps.
+// NewTaggedCollector opens a UDP listener on addr ("127.0.0.1:0" for an
+// ephemeral port) for the given format. Every decoded datagram is
+// delivered on Tagged() as a TaggedBatch carrying the stream identity of
+// its header (see StreamID). Batches are drawn from the flowrec pool;
+// consumers should hand processed batches back with flowrec.PutBatch to
+// keep the receive path allocation-free. Call Run to start receiving.
 func NewTaggedCollector(format Format, addr string) (*Collector, error) {
-	return newCollector(format, addr, taggedMode)
-}
-
-func newCollector(format Format, addr string, m mode) (*Collector, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("collector: resolve %q: %w", addr, err)
@@ -220,42 +185,24 @@ func newCollector(format Format, addr string, m mode) (*Collector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("collector: listen %q: %w", addr, err)
 	}
-	c := &Collector{
+	return &Collector{
 		format: format,
 		conn:   conn,
-		mode:   m,
+		tagged: make(chan TaggedBatch, 64),
 		ctrl:   make(chan []byte, 16),
 		errs:   make(chan error, 16),
 		v9:     netflow.NewV9Decoder(),
 		ipf:    ipfix.NewDecoder(),
 		done:   make(chan struct{}),
-	}
-	switch m {
-	case batchMode:
-		c.batches = make(chan *flowrec.Batch, 64)
-	case taggedMode:
-		c.tagged = make(chan TaggedBatch, 64)
-	default:
-		c.out = make(chan flowrec.Record, 1024)
-	}
-	return c, nil
+	}, nil
 }
 
 // Addr returns the local address the collector listens on.
 func (c *Collector) Addr() string { return c.conn.LocalAddr().String() }
 
-// Records returns the channel decoded flow records are delivered on (nil
-// in batch mode). The channel is closed when the collector stops.
-func (c *Collector) Records() <-chan flowrec.Record { return c.out }
-
-// Batches returns the channel decoded batches are delivered on (nil
-// outside batch mode). The channel is closed when the collector stops.
-// Return consumed batches with flowrec.PutBatch.
-func (c *Collector) Batches() <-chan *flowrec.Batch { return c.batches }
-
 // Tagged returns the channel decoded batches and their stream identity
-// are delivered on (nil outside tagged mode). The channel is closed when
-// the collector stops. Return consumed batches with flowrec.PutBatch.
+// are delivered on. The channel is closed when the collector stops.
+// Return consumed batches with flowrec.PutBatch.
 func (c *Collector) Tagged() <-chan TaggedBatch { return c.tagged }
 
 // Control returns the channel replay control datagrams (packets prefixed
@@ -281,14 +228,7 @@ func (c *Collector) SetReadBuffer(bytes int) error { return c.conn.SetReadBuffer
 // always closes the delivery, control and error channels before
 // returning, so consumers ranging over any of them terminate.
 func (c *Collector) Run(ctx context.Context) {
-	switch c.mode {
-	case batchMode:
-		defer close(c.batches)
-	case taggedMode:
-		defer close(c.tagged)
-	default:
-		defer close(c.out)
-	}
+	defer close(c.tagged)
 	defer close(c.ctrl)
 	defer close(c.errs)
 	go func() {
@@ -299,11 +239,6 @@ func (c *Collector) Run(ctx context.Context) {
 		c.conn.SetReadDeadline(time.Now()) // unblock the read loop
 	}()
 	buf := make([]byte, maxDatagram)
-	var scratch *flowrec.Batch // record mode: one reused decode target
-	if c.mode == recordMode {
-		scratch = flowrec.GetBatch(batchHint)
-		defer flowrec.PutBatch(scratch)
-	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -346,61 +281,29 @@ func (c *Collector) Run(ctx context.Context) {
 			continue
 		}
 		// The decoders copy every value out of the datagram, so the read
-		// buffer is reused without a per-packet copy.
-		if c.mode == batchMode || c.mode == taggedMode {
-			// Tagged mode reads the stream off the raw header before the
-			// decode; a packet the decoder rejects never reaches the
-			// channel, so a garbage tag cannot either.
-			var stream uint32
-			if c.mode == taggedMode {
-				stream = StreamID(c.format, buf[:n])
-			}
-			b := flowrec.GetBatch(batchHint)
-			if err := c.decodeInto(b, buf[:n]); err != nil {
-				flowrec.PutBatch(b)
-				c.reportErr(err)
-				continue
-			}
-			if b.Len() == 0 {
-				flowrec.PutBatch(b)
-				continue
-			}
-			if c.mode == batchMode {
-				select {
-				case c.batches <- b:
-				case <-ctx.Done():
-					flowrec.PutBatch(b)
-					return
-				case <-c.done:
-					flowrec.PutBatch(b)
-					return
-				}
-				continue
-			}
-			select {
-			case c.tagged <- TaggedBatch{Stream: stream, Batch: b}:
-			case <-ctx.Done():
-				flowrec.PutBatch(b)
-				return
-			case <-c.done:
-				flowrec.PutBatch(b)
-				return
-			}
-			continue
-		}
-		scratch.Reset()
-		if err := c.decodeInto(scratch, buf[:n]); err != nil {
+		// buffer is reused without a per-packet copy. The stream is read
+		// off the raw header before the decode; a packet the decoder
+		// rejects never reaches the channel, so a garbage tag cannot
+		// either.
+		stream := StreamID(c.format, buf[:n])
+		b := flowrec.GetBatch(batchHint)
+		if err := c.decodeInto(b, buf[:n]); err != nil {
+			flowrec.PutBatch(b)
 			c.reportErr(err)
 			continue
 		}
-		for i := 0; i < scratch.Len(); i++ {
-			select {
-			case c.out <- scratch.Record(i):
-			case <-ctx.Done():
-				return
-			case <-c.done:
-				return
-			}
+		if b.Len() == 0 {
+			flowrec.PutBatch(b)
+			continue
+		}
+		select {
+		case c.tagged <- TaggedBatch{Stream: stream, Batch: b}:
+		case <-ctx.Done():
+			flowrec.PutBatch(b)
+			return
+		case <-c.done:
+			flowrec.PutBatch(b)
+			return
 		}
 	}
 }
@@ -439,9 +342,9 @@ func (c *Collector) Close() error {
 	return c.conn.Close()
 }
 
-// Exporter sends flow records to a collector address using the chosen wire
-// format, batching records into appropriately sized packets. The packet
-// buffer is reused across packets, so a steady-state ExportBatch loop
+// Exporter sends flow batches to a collector address using the chosen
+// wire format, splitting them into appropriately sized packets. The packet
+// buffer is reused across packets, so a steady-state ExportBatchAt loop
 // allocates nothing per record. An Exporter is not safe for concurrent
 // use (it carries sequence state).
 type Exporter struct {
@@ -465,8 +368,8 @@ func NewExporter(format Format, addr string) (*Exporter, error) {
 // NewStreamExporter is NewExporter with an explicit stream identity,
 // stamped into every packet header as the IPFIX observation domain,
 // NetFlow v9 source ID, or NetFlow v5 engine ID. NetFlow v5 carries only
-// 8 bits of identity, so v5 streams above MaxV5Stream are rejected. A
-// tagged-mode collector recovers the identity per datagram (StreamID),
+// 8 bits of identity, so v5 streams above MaxV5Stream are rejected. The
+// collector recovers the identity per datagram (StreamID),
 // which is what lets several exporters share one collector socket.
 func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, error) {
 	if format == FormatNetflowV5 && stream > MaxV5Stream {
@@ -485,9 +388,6 @@ func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, er
 	e.ipf.DomainID = stream
 	return e, nil
 }
-
-// Stream returns the exporter's stream identity.
-func (e *Exporter) Stream() uint32 { return e.stream }
 
 // SetRate limits the exporter to at most pps datagrams per second using
 // a token bucket (burst of one tenth of a second's budget, minimum one
@@ -513,18 +413,14 @@ func (e *Exporter) batchSize() int {
 	}
 }
 
-// ExportBatch encodes and sends the batch, splitting it into as many
-// packets as needed. The export timestamp is now.
-func (e *Exporter) ExportBatch(b *flowrec.Batch) error {
-	return e.ExportBatchAt(b, time.Now().UTC())
-}
-
-// ExportBatchAt is ExportBatch with an explicit export timestamp. Replay
-// of historic flows needs it for NetFlow v5, whose records express flow
-// start/end as router-uptime offsets relative to the export time: stamping
-// the packet near the flows (e.g. at the end of their hour) keeps the
-// offsets inside the representable one-hour uptime window, so the
-// second-resolution timestamps survive the round trip exactly.
+// ExportBatchAt encodes and sends the batch, splitting it into as many
+// packets as needed, with exportTime in every packet header. Replay of
+// historic flows needs the explicit timestamp for NetFlow v5, whose
+// records express flow start/end as router-uptime offsets relative to the
+// export time: stamping the packet near the flows (e.g. at the end of
+// their hour) keeps the offsets inside the representable one-hour uptime
+// window, so the second-resolution timestamps survive the round trip
+// exactly.
 func (e *Exporter) ExportBatchAt(b *flowrec.Batch, exportTime time.Time) error {
 	now := exportTime.UTC()
 	bs := e.batchSize()
@@ -607,57 +503,5 @@ func (tb *tokenBucket) wait() {
 	}
 }
 
-// Export encodes and sends the records (record-slice adapter over
-// ExportBatch; the packets are byte-identical).
-func (e *Exporter) Export(recs []flowrec.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	return e.ExportBatch(flowrec.FromRecords(recs))
-}
-
 // Close releases the exporter socket.
 func (e *Exporter) Close() error { return e.conn.Close() }
-
-// Collect gathers up to want records from the collector channel, waiting at
-// most timeout. It is a convenience for tests and examples.
-func Collect(c *Collector, want int, timeout time.Duration) []flowrec.Record {
-	var out []flowrec.Record
-	deadline := time.After(timeout)
-	for len(out) < want {
-		select {
-		case r, ok := <-c.Records():
-			if !ok {
-				return out
-			}
-			out = append(out, r)
-		case <-deadline:
-			return out
-		}
-	}
-	return out
-}
-
-// CollectBatch gathers up to want rows from a batch-mode collector into
-// one batch, waiting at most timeout. Received batches are returned to
-// the flowrec pool after their rows are copied; rows beyond want in the
-// final datagram are dropped, so the result never exceeds want (matching
-// Collect).
-func CollectBatch(c *Collector, want int, timeout time.Duration) *flowrec.Batch {
-	out := flowrec.NewBatch(want)
-	deadline := time.After(timeout)
-	for out.Len() < want {
-		select {
-		case b, ok := <-c.Batches():
-			if !ok {
-				return out
-			}
-			out.AppendBatch(b)
-			flowrec.PutBatch(b)
-		case <-deadline:
-			return out
-		}
-	}
-	out.Truncate(want)
-	return out
-}

@@ -30,9 +30,34 @@ func testRecords(n int) []flowrec.Record {
 	return recs
 }
 
-func roundTrip(t *testing.T, format Format, n int) []flowrec.Record {
+// collectBatch gathers up to want rows from the collector into one
+// batch, waiting at most timeout. Received batches go back to the
+// flowrec pool after their rows are copied; rows beyond want in the final
+// datagram are dropped.
+func collectBatch(c *Collector, want int, timeout time.Duration) *flowrec.Batch {
+	out := flowrec.NewBatch(want)
+	deadline := time.After(timeout)
+	for out.Len() < want {
+		select {
+		case tb, ok := <-c.Tagged():
+			if !ok {
+				return out
+			}
+			out.AppendBatch(tb.Batch)
+			flowrec.PutBatch(tb.Batch)
+		case <-deadline:
+			return out
+		}
+	}
+	out.Truncate(want)
+	return out
+}
+
+// roundTrip exports n test records in the given format to a fresh
+// collector and returns the rows it delivered.
+func roundTrip(t *testing.T, format Format, n int) *flowrec.Batch {
 	t.Helper()
-	col, err := NewCollector(format, "127.0.0.1:0")
+	col, err := NewTaggedCollector(format, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +71,14 @@ func roundTrip(t *testing.T, format Format, n int) []flowrec.Record {
 		t.Fatal(err)
 	}
 	defer exp.Close()
-	if err := exp.Export(testRecords(n)); err != nil {
+	if err := exp.ExportBatchAt(flowrec.FromRecords(testRecords(n)), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	return Collect(col, n, 3*time.Second)
+	return collectBatch(col, n, 3*time.Second)
 }
 
 func TestRoundTripV5(t *testing.T) {
-	got := roundTrip(t, FormatNetflowV5, 45) // spans two v5 packets
+	got := roundTrip(t, FormatNetflowV5, 45).Records() // spans two v5 packets
 	if len(got) != 45 {
 		t.Fatalf("collected %d records, want 45", len(got))
 	}
@@ -63,7 +88,7 @@ func TestRoundTripV5(t *testing.T) {
 }
 
 func TestRoundTripV9(t *testing.T) {
-	got := roundTrip(t, FormatNetflowV9, 10)
+	got := roundTrip(t, FormatNetflowV9, 10).Records()
 	if len(got) != 10 {
 		t.Fatalf("collected %d records, want 10", len(got))
 	}
@@ -74,33 +99,9 @@ func TestRoundTripV9(t *testing.T) {
 
 func TestRoundTripIPFIX(t *testing.T) {
 	got := roundTrip(t, FormatIPFIX, 250) // spans multiple messages
-	if len(got) != 250 {
-		t.Fatalf("collected %d records, want 250", len(got))
+	if got.Len() != 250 {
+		t.Fatalf("collected %d records, want 250", got.Len())
 	}
-}
-
-// batchRoundTrip is roundTrip through a batch-mode collector and the
-// batch export path.
-func batchRoundTrip(t *testing.T, format Format, n int) *flowrec.Batch {
-	t.Helper()
-	col, err := NewBatchCollector(format, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go col.Run(ctx)
-	defer col.Close()
-
-	exp, err := NewExporter(format, col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exp.Close()
-	if err := exp.ExportBatch(flowrec.FromRecords(testRecords(n))); err != nil {
-		t.Fatal(err)
-	}
-	return CollectBatch(col, n, 3*time.Second)
 }
 
 func TestBatchRoundTripAllFormats(t *testing.T) {
@@ -112,7 +113,7 @@ func TestBatchRoundTripAllFormats(t *testing.T) {
 		{FormatNetflowV9, 10},
 		{FormatIPFIX, 250}, // spans multiple messages
 	} {
-		got := batchRoundTrip(t, tc.format, tc.n)
+		got := roundTrip(t, tc.format, tc.n)
 		if got.Len() != tc.n {
 			t.Fatalf("%v: collected %d rows, want %d", tc.format, got.Len(), tc.n)
 		}
@@ -122,24 +123,24 @@ func TestBatchRoundTripAllFormats(t *testing.T) {
 	}
 }
 
-// TestBatchAndRecordCollectorsAgree exports the same records through both
-// collector modes and checks the decoded flows match.
-func TestBatchAndRecordCollectorsAgree(t *testing.T) {
+// TestRoundTripPreservesRows exports records through the collector and
+// checks every decoded row equals the exported one, field for field.
+func TestRoundTripPreservesRows(t *testing.T) {
 	const n = 30
-	fromBatches := batchRoundTrip(t, FormatIPFIX, n).Records()
-	fromRecords := roundTrip(t, FormatIPFIX, n)
-	if len(fromBatches) != n || len(fromRecords) != n {
-		t.Fatalf("collected %d batch rows and %d records, want %d of both", len(fromBatches), len(fromRecords), n)
+	want := testRecords(n)
+	got := roundTrip(t, FormatIPFIX, n).Records()
+	if len(got) != n {
+		t.Fatalf("collected %d rows, want %d", len(got), n)
 	}
-	for i := range fromRecords {
-		if fromBatches[i] != fromRecords[i] {
-			t.Fatalf("row %d differs between modes: %+v vs %+v", i, fromBatches[i], fromRecords[i])
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d differs after the round trip: %+v vs %+v", i, got[i], want[i])
 		}
 	}
 }
 
 func TestCollectorErrorsOnGarbage(t *testing.T) {
-	col, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
+	col, err := NewTaggedCollector(FormatIPFIX, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestCollectorErrorsOnGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exp.Close()
-	if err := exp.Export(testRecords(1)); err != nil {
+	if err := exp.ExportBatchAt(flowrec.FromRecords(testRecords(1)), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -167,7 +168,7 @@ func TestCollectorErrorsOnGarbage(t *testing.T) {
 }
 
 func TestCollectorCloseClosesChannel(t *testing.T) {
-	col, err := NewCollector(FormatNetflowV9, "127.0.0.1:0")
+	col, err := NewTaggedCollector(FormatNetflowV9, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,15 +184,15 @@ func TestCollectorCloseClosesChannel(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("Run did not return after Close")
 	}
-	if _, ok := <-col.Records(); ok {
-		// Channel may still hold buffered records in general, but here
+	if _, ok := <-col.Tagged(); ok {
+		// Channel may still hold buffered batches in general, but here
 		// nothing was sent, so it must be closed and empty.
-		t.Error("record channel not closed after Close")
+		t.Error("batch channel not closed after Close")
 	}
 }
 
 func TestCollectorContextCancel(t *testing.T) {
-	col, err := NewCollector(FormatNetflowV9, "127.0.0.1:0")
+	col, err := NewTaggedCollector(FormatNetflowV9, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestExporterBadAddress(t *testing.T) {
 	if _, err := NewExporter(FormatIPFIX, "this is not an address"); err == nil {
 		t.Error("bad exporter address accepted")
 	}
-	if _, err := NewCollector(FormatIPFIX, "not an address"); err == nil {
+	if _, err := NewTaggedCollector(FormatIPFIX, "not an address"); err == nil {
 		t.Error("bad collector address accepted")
 	}
 }

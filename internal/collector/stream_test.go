@@ -54,7 +54,7 @@ func TestTaggedCollectorDemuxesStreams(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewStreamExporter(%d): %v", id, err)
 				}
-				if err := exp.ExportBatch(flowrec.FromRecords(testRecords(perStream))); err != nil {
+				if err := exp.ExportBatchAt(flowrec.FromRecords(testRecords(perStream)), time.Now()); err != nil {
 					t.Fatal(err)
 				}
 				exp.Close()

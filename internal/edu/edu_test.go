@@ -152,8 +152,9 @@ func TestConnectionGrowthMatchesSection7(t *testing.T) {
 	}
 }
 
-// TestCountConnectionsBatchRecordEquivalence pins the batch and record
-// counting paths to identical results on real generator output.
+// TestCountConnectionsBatchRecordEquivalence pins the batch counting path
+// to the per-record oracle, appclass.CountEDUByClassDir, on real
+// generator output.
 func TestCountConnectionsBatchRecordEquivalence(t *testing.T) {
 	g := eduGenerator(t)
 	day := date(2020, 3, 5)
@@ -162,9 +163,9 @@ func TestCountConnectionsBatchRecordEquivalence(t *testing.T) {
 		t.Fatal("expected flows for the sample day")
 	}
 	fromBatch := CountConnections(map[time.Time]*flowrec.Batch{day: b})
-	fromRecs := CountConnectionRecords(map[time.Time][]flowrec.Record{day: b.Records()})
+	fromRecs := DailyCounts{calendar.DayStart(day): appclass.CountEDUByClassDir(b.Records())}
 	if !reflect.DeepEqual(fromBatch, fromRecs) {
-		t.Error("CountConnections (batch) and CountConnectionRecords disagree")
+		t.Error("CountConnections (batch) and the per-record oracle disagree")
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
-
-	"lockdown/internal/simd"
 )
 
 // Batch is a columnar (struct-of-arrays) collection of flow records: every
@@ -222,8 +220,8 @@ func (b *Batch) Record(i int) Record {
 }
 
 // Records materialises the whole batch as a record slice (one exact
-// allocation). It returns nil for an empty batch, matching the historic
-// behaviour of the record-slice APIs it adapts.
+// allocation), the form the equivalence tests compare batch kernels
+// against. It returns nil for an empty batch.
 func (b *Batch) Records() []Record {
 	if b.Len() == 0 {
 		return nil
@@ -282,12 +280,6 @@ func (b *Batch) Filter(keep func(b *Batch, i int) bool) *Batch {
 		}
 	}
 	return out
-}
-
-// TotalBytes sums the byte column (a common aggregate; the kernel's
-// unrolled accumulators keep the one contiguous array at bandwidth).
-func (b *Batch) TotalBytes() uint64 {
-	return simd.SumUint64(b.Bytes)
 }
 
 // batchPool recycles batches (and, transitively, their column arrays) for

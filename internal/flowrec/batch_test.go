@@ -127,17 +127,6 @@ func TestBatchFilter(t *testing.T) {
 	}
 }
 
-func TestBatchTotalBytes(t *testing.T) {
-	recs := sampleRecords(9)
-	var want uint64
-	for _, r := range recs {
-		want += r.Bytes
-	}
-	if got := FromRecords(recs).TotalBytes(); got != want {
-		t.Errorf("TotalBytes = %d, want %d", got, want)
-	}
-}
-
 func TestBatchPoolReuse(t *testing.T) {
 	b := GetBatch(64)
 	if b.Len() != 0 || cap(b.Bytes) < 64 {

@@ -81,8 +81,8 @@ type Record struct {
 	Start time.Time
 	End   time.Time
 
-	// SrcIP and DstIP are the flow endpoints. They may be anonymised
-	// (see package anon); analyses never rely on real address values.
+	// SrcIP and DstIP are the flow endpoints, minted from synthetic AS
+	// prefixes; analyses never rely on real address values.
 	SrcIP netip.Addr
 	DstIP netip.Addr
 
@@ -142,17 +142,6 @@ func (r Record) Key() Key {
 		SrcPort: r.SrcPort,
 		DstPort: r.DstPort,
 		Proto:   r.Proto,
-	}
-}
-
-// Reverse returns the key of the opposite flow direction.
-func (k Key) Reverse() Key {
-	return Key{
-		SrcIP:   k.DstIP,
-		DstIP:   k.SrcIP,
-		SrcPort: k.DstPort,
-		DstPort: k.SrcPort,
-		Proto:   k.Proto,
 	}
 }
 

@@ -57,18 +57,6 @@ func TestDuration(t *testing.T) {
 	}
 }
 
-func TestKeyReverse(t *testing.T) {
-	r := rec()
-	k := r.Key()
-	rk := k.Reverse()
-	if rk.SrcIP != k.DstIP || rk.DstIP != k.SrcIP || rk.SrcPort != k.DstPort || rk.DstPort != k.SrcPort {
-		t.Errorf("Reverse did not swap endpoints: %+v -> %+v", k, rk)
-	}
-	if rk.Reverse() != k {
-		t.Errorf("double Reverse != identity")
-	}
-}
-
 func TestKeyString(t *testing.T) {
 	k := rec().Key()
 	want := "TCP 10.1.2.3:51234 -> 192.0.2.7:443"
@@ -131,23 +119,6 @@ func TestValidate(t *testing.T) {
 	bad.Packets = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("bytes without packets accepted")
-	}
-}
-
-// Property: Reverse is an involution on arbitrary keys.
-func TestKeyReverseInvolutionQuick(t *testing.T) {
-	f := func(sa, da [4]byte, sp, dp uint16, proto uint8) bool {
-		k := Key{
-			SrcIP:   netip.AddrFrom4(sa),
-			DstIP:   netip.AddrFrom4(da),
-			SrcPort: sp,
-			DstPort: dp,
-			Proto:   Proto(proto),
-		}
-		return k.Reverse().Reverse() == k
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

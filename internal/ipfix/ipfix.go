@@ -4,11 +4,10 @@
 // framing, template sets and data sets follow the RFC so the codec
 // interoperates with standard collectors.
 //
-// Like package netflow, the codec has a batch layer (Encoder.EncodeBatch,
-// Decoder.DecodeBatch) that appends messages to a caller-supplied byte
-// slice and rows to a caller-supplied flowrec.Batch — zero allocations
-// per record in the steady state — and a record layer (Encode, Decode)
-// that adapts []flowrec.Record through it with byte-identical messages.
+// Like package netflow, the codec works on columnar batches
+// (Encoder.EncodeBatch, Decoder.DecodeBatch): it appends messages to a
+// caller-supplied byte slice and rows to a caller-supplied flowrec.Batch,
+// with zero allocations per record in the steady state.
 package ipfix
 
 import (
@@ -176,20 +175,6 @@ func (e *Encoder) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTi
 	return dst, nil
 }
 
-// Encode builds one IPFIX message containing the template set and a data
-// set with the given records (record-slice adapter over EncodeBatch; the
-// messages are byte-identical). Records must be IPv4.
-func (e *Encoder) Encode(recs []flowrec.Record, exportTime time.Time) ([]byte, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("ipfix: no records to encode")
-	}
-	msg, err := e.EncodeBatch(nil, flowrec.FromRecords(recs), 0, len(recs), exportTime)
-	if err != nil {
-		return nil, err
-	}
-	return msg, nil
-}
-
 // DomainID returns the observation domain ID of an IPFIX message header
 // without decoding the sets (0 for messages too short to carry a header
 // — the decoder rejects those anyway). Collectors use it to attribute a
@@ -257,16 +242,6 @@ func (d *Decoder) DecodeBatch(dst *flowrec.Batch, msg []byte) (int, error) {
 		off += setLen
 	}
 	return dst.Len() - before, nil
-}
-
-// Decode parses one IPFIX message and returns the records of all data sets
-// whose templates are known (record-slice adapter over DecodeBatch).
-func (d *Decoder) Decode(msg []byte) ([]flowrec.Record, error) {
-	var b flowrec.Batch
-	if _, err := d.DecodeBatch(&b, msg); err != nil {
-		return nil, err
-	}
-	return b.Records(), nil
 }
 
 func (d *Decoder) parseTemplates(domain uint32, body []byte) error {

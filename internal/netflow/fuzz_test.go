@@ -43,7 +43,7 @@ func FuzzDecodeV5Batch(f *testing.F) {
 		if hi > b.Len() {
 			hi = b.Len()
 		}
-		pkt, err := EncodeV5Batch(nil, b, lo, hi, hour, uint32(lo))
+		pkt, err := EncodeV5StreamBatch(nil, b, lo, hi, hour, uint32(lo), 0)
 		if err != nil {
 			f.Fatal(err)
 		}

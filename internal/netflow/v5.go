@@ -5,14 +5,12 @@
 // interfaces — but the wire formats follow the published specifications so
 // the codecs interoperate with standard tooling.
 //
-// Both versions expose two API layers. The batch layer (EncodeV5Batch,
-// DecodeV5Batch, V9Encoder.EncodeBatch, V9Decoder.DecodeBatch) is
-// append-style: encoders append one packet to a caller-supplied byte
-// slice and decoders append rows to a caller-supplied flowrec.Batch, so a
+// Both versions work on columnar batches (EncodeV5StreamBatch,
+// DecodeV5Batch, V9Encoder.EncodeBatch, V9Decoder.DecodeBatch), append
+// style: encoders append one packet to a caller-supplied byte slice and
+// decoders append rows to a caller-supplied flowrec.Batch, so a
 // steady-state export or collect loop that reuses its buffer and batch
-// performs zero allocations per record. The record layer (EncodeV5,
-// DecodeV5, V9Encoder.Encode, V9Decoder.Decode) adapts []flowrec.Record
-// through the batch layer and produces byte-identical packets.
+// performs zero allocations per record.
 package netflow
 
 import (
@@ -33,7 +31,6 @@ const (
 	V5MaxRecords   = 30 // per RFC-less Cisco spec, max records per packet
 	v5TotalMax     = v5HeaderLen + V5MaxRecords*v5RecordLen
 	v5EngineType   = 0
-	v5EngineID     = 0
 	v5SamplingMode = 0
 )
 
@@ -45,35 +42,23 @@ type V5Header struct {
 	Count        int
 }
 
-// V5Packet is a decoded NetFlow v5 packet: export metadata plus records.
-type V5Packet struct {
-	SysUptime    time.Duration
-	ExportTime   time.Time
-	FlowSequence uint32
-	Records      []flowrec.Record
-}
-
-// EncodeV5Batch appends one NetFlow v5 packet carrying rows [lo, hi) of b
-// to dst and returns the extended slice. At most V5MaxRecords rows fit in
-// one packet; rows must be IPv4. dst may be nil; a caller that reuses the
-// returned slice across packets encodes with zero allocations once the
-// buffer has grown to packet size. On error dst is returned unmodified.
+// EncodeV5StreamBatch appends one NetFlow v5 packet carrying rows [lo, hi)
+// of b to dst and returns the extended slice. At most V5MaxRecords rows
+// fit in one packet; rows must be IPv4. dst may be nil; a caller that
+// reuses the returned slice across packets encodes with zero allocations
+// once the buffer has grown to packet size. On error dst is returned
+// unmodified.
 //
 // exportTime stamps the header; seq is the cumulative flow sequence
 // counter. NetFlow v5 expresses flow start/end as router-uptime offsets in
 // milliseconds. The encoder places the export time at an uptime of one
 // hour, so flows that started up to an hour before export remain
 // representable.
-func EncodeV5Batch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time, seq uint32) ([]byte, error) {
-	return EncodeV5StreamBatch(dst, b, lo, hi, exportTime, seq, v5EngineID)
-}
-
-// EncodeV5StreamBatch is EncodeV5Batch with an explicit engine ID — the
-// only exporter-identity field the v5 header carries, and therefore the
-// v5 stand-in for the NetFlow v9 source ID / IPFIX observation domain.
-// Multi-exporter collectors (the sharded replay cluster) use it to demux
-// interleaved streams; EncodeV5Batch is the engineID=0 special case and
-// produces byte-identical packets.
+//
+// engineID is the only exporter-identity field the v5 header carries, and
+// therefore the v5 stand-in for the NetFlow v9 source ID / IPFIX
+// observation domain. Multi-exporter collectors (the sharded replay
+// cluster) use it to demux interleaved streams.
 func EncodeV5StreamBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time, seq uint32, engineID uint8) ([]byte, error) {
 	n := hi - lo
 	if n <= 0 {
@@ -134,20 +119,6 @@ func EncodeV5StreamBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime ti
 		be.PutUint16(buf[off+46:], 0) // pad
 	}
 	return dst, nil
-}
-
-// EncodeV5 serialises up to V5MaxRecords flow records into one NetFlow v5
-// packet (record-slice adapter over EncodeV5Batch; the packets are
-// byte-identical).
-func EncodeV5(recs []flowrec.Record, exportTime time.Time, seq uint32) ([]byte, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("netflow: no records to encode")
-	}
-	pkt, err := EncodeV5Batch(nil, flowrec.FromRecords(recs), 0, len(recs), exportTime, seq)
-	if err != nil {
-		return nil, err
-	}
-	return pkt, nil
 }
 
 // DecodeV5Batch parses a NetFlow v5 packet, appending its records to dst
@@ -215,20 +186,4 @@ func V5EngineID(pkt []byte) uint8 {
 		return 0
 	}
 	return pkt[21]
-}
-
-// DecodeV5 parses a NetFlow v5 packet (record-slice adapter over
-// DecodeV5Batch).
-func DecodeV5(pkt []byte) (*V5Packet, error) {
-	var b flowrec.Batch
-	h, err := DecodeV5Batch(&b, pkt)
-	if err != nil {
-		return nil, err
-	}
-	return &V5Packet{
-		SysUptime:    h.SysUptime,
-		ExportTime:   h.ExportTime,
-		FlowSequence: h.FlowSequence,
-		Records:      b.Records(),
-	}, nil
 }

@@ -174,20 +174,6 @@ func (e *V9Encoder) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, export
 	return dst, nil
 }
 
-// Encode produces one v9 packet containing the template and the given
-// records (record-slice adapter over EncodeBatch; the packets are
-// byte-identical). Records must be IPv4.
-func (e *V9Encoder) Encode(recs []flowrec.Record, exportTime time.Time) ([]byte, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("netflow: no records to encode")
-	}
-	pkt, err := e.EncodeBatch(nil, flowrec.FromRecords(recs), 0, len(recs), exportTime)
-	if err != nil {
-		return nil, err
-	}
-	return pkt, nil
-}
-
 // V9SourceID returns the source ID field of a NetFlow v9 packet header
 // without decoding the flowsets (0 for packets too short to carry a
 // header — the decoder rejects those anyway). Collectors use it to
@@ -258,17 +244,6 @@ func (d *V9Decoder) DecodeBatch(dst *flowrec.Batch, pkt []byte) (int, error) {
 		off += setLen
 	}
 	return dst.Len() - before, nil
-}
-
-// Decode parses one packet and returns the flow records of all data
-// flowsets whose templates are known (record-slice adapter over
-// DecodeBatch).
-func (d *V9Decoder) Decode(pkt []byte) ([]flowrec.Record, error) {
-	var b flowrec.Batch
-	if _, err := d.DecodeBatch(&b, pkt); err != nil {
-		return nil, err
-	}
-	return b.Records(), nil
 }
 
 func (d *V9Decoder) parseTemplates(sourceID uint32, body []byte) error {

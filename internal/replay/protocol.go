@@ -16,15 +16,15 @@
 //     its flow packets, and an explicit field of its control frames — so
 //     several pumps (one per vantage-point shard; see internal/cluster)
 //     can share one bridge.
-//   - The Bridge is a core.FlowSource backed by a collector.Collector in
-//     tagged-batch mode. On a dataset-cache miss it routes the key to the
-//     stream that serves it, requests it from that stream's pump, gathers
-//     the decoded batches the demux attributes to the stream, verifies
-//     every row bit-for-bit against its own reference model, and hands
-//     the wire batch to the engine. Buckets of different streams are in
-//     flight concurrently; lost or timed-out buckets are re-requested and
-//     accounted per stream; rows arriving outside a bucket are counted as
-//     orphans.
+//   - The Bridge is a core.FlowSource backed by a collector.Collector
+//     delivering tagged batches. On a dataset-cache miss it routes the
+//     key to the stream that serves it, requests it from that stream's
+//     pump, gathers the decoded batches the demux attributes to the
+//     stream, verifies every row bit-for-bit against its own reference
+//     model, and hands the wire batch to the engine. Buckets of different
+//     streams are in flight concurrently; lost or timed-out buckets are
+//     re-requested and accounted per stream; rows arriving outside a
+//     bucket are counted as orphans.
 //
 // The protocol is deliberately minimal: one request datagram per key from
 // bridge to pump, and BEGIN / END / NACK control datagrams from pump to

@@ -120,9 +120,6 @@ func NewPump(cfg PumpConfig) (*Pump, error) {
 // CtrlAddr returns the address the pump receives key requests on.
 func (p *Pump) CtrlAddr() string { return p.ctrl.LocalAddr().String() }
 
-// Stream returns the pump's wire stream identity.
-func (p *Pump) Stream() uint32 { return p.stream }
-
 // Stats returns a snapshot of the pump's counters.
 func (p *Pump) Stats() PumpStats {
 	return PumpStats{

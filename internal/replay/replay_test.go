@@ -279,7 +279,7 @@ func TestBridgeDiscardsOrphanRows(t *testing.T) {
 	if strayRows.Len() == 0 {
 		t.Fatal("stray batch is empty")
 	}
-	if err := stray.ExportBatch(strayRows); err != nil {
+	if err := stray.ExportBatchAt(strayRows, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 

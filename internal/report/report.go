@@ -194,7 +194,7 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "reproduced by one registered experiment. The metrics below come from a")
 	fmt.Fprintln(w, "real run of the engine at the default options. The flow-level")
 	fmt.Fprintln(w, "experiments scan columnar `flowrec.Batch` inputs; the same batches")
-	fmt.Fprintln(w, "round-trip the wire codecs via `EncodeV5Batch`/`DecodeV5Batch`")
+	fmt.Fprintln(w, "round-trip the wire codecs via `EncodeV5StreamBatch`/`DecodeV5Batch`")
 	fmt.Fprintln(w, "(NetFlow v5) and `EncodeBatch`/`DecodeBatch` (NetFlow v9, IPFIX),")
 	fmt.Fprintln(w, "so regenerating this document exercises the exact record layout the")
 	fmt.Fprintln(w, "collector path consumes (see docs/ARCHITECTURE.md, \"Columnar flow")

@@ -14,6 +14,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -188,6 +189,11 @@ func (d *decoder) float(m *node, path, key string) (float64, int, bool, error) {
 	v, perr := strconv.ParseFloat(s, 64)
 	if perr != nil {
 		return 0, line, true, d.errf(line, joinPath(path, key), "invalid number %q", s)
+	}
+	// ParseFloat accepts NaN and ±Inf, which slip past every range check
+	// (NaN compares false both ways) and poison the model downstream.
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, line, true, d.errf(line, joinPath(path, key), "must be a finite number, got %q", s)
 	}
 	return v, line, true, nil
 }

@@ -66,6 +66,21 @@ func TestMalformedScenarios(t *testing.T) {
 			"flow_scale: must be positive, got 0",
 		},
 		{
+			"flow-scale-nan",
+			"name: x\nflow_scale: NaN\nvantage_points: [EDU]\n",
+			"test.yaml:2: flow_scale: must be a finite number, got \"NaN\"",
+		},
+		{
+			"flow-scale-inf",
+			"name: x\nflow_scale: Inf\nvantage_points: [EDU]\n",
+			"test.yaml:2: flow_scale: must be a finite number, got \"Inf\"",
+		},
+		{
+			"wave-severity-negative-inf",
+			"name: x\nvantage_points: [EDU]\nevents:\n  - type: lockdown_wave\n    start: 2020-03-14\n    severity: -Inf\n",
+			"test.yaml:6: events[0].severity: must be a finite number, got \"-Inf\"",
+		},
+		{
 			"flow-scale-not-number",
 			"name: x\nflow_scale: lots\nvantage_points: [EDU]\n",
 			"flow_scale: invalid number \"lots\"",

@@ -1,14 +1,13 @@
 // Package simd holds the scalar-coded, vector-shaped kernels behind the
-// hot column scans of the experiment suite: widening sums, masked sums
-// and dense scatter accumulation over uint8 lane arrays.
+// hot column scans of the experiment suite: dense scatter accumulation
+// over uint8 lane arrays and a branchless lane select.
 //
 // There is no unsafe and no assembly here, on purpose. The gc compiler
 // does not auto-vectorize loops, but it rewards exactly one loop shape:
 // straight-line bodies with no branches, no calls, and no bounds checks,
 // over contiguous slices. Every kernel in this package is written in that
-// shape — four-way unrolled independent accumulators where the dependency
-// chain would otherwise serialise the adds, table loads instead of
-// compares, and arithmetic masks instead of data-dependent branches — so
+// shape — table loads instead of compares, and arithmetic masks instead
+// of data-dependent branches — so
 // the instruction selection improves transparently with GOAMD64 (v1
 // baseline vs v3's SSE4.2/AVX/BMI era) and the loops stay at the memory
 // bandwidth the container allows. The A/B numbers live in BENCH_pr10.json.
@@ -44,41 +43,6 @@ const PairLanes = 16 * 256
 // stay resident in L1 between the classification pass and the
 // accumulation pass.
 const Tile = 4096
-
-// SumUint64 returns the sum of v. Four independent accumulators break
-// the loop-carried dependency chain so the adds pipeline.
-func SumUint64(v []uint64) uint64 {
-	var s0, s1, s2, s3 uint64
-	i := 0
-	for ; i+4 <= len(v); i += 4 {
-		s0 += v[i]
-		s1 += v[i+1]
-		s2 += v[i+2]
-		s3 += v[i+3]
-	}
-	for ; i < len(v); i++ {
-		s0 += v[i]
-	}
-	return s0 + s1 + s2 + s3
-}
-
-// WidenSumUint16 returns the sum of v with every element widened to
-// uint64 before adding, so the total cannot wrap (65535 × len(v) stays
-// far below 2^64 for any real column).
-func WidenSumUint16(v []uint16) uint64 {
-	var s0, s1, s2, s3 uint64
-	i := 0
-	for ; i+4 <= len(v); i += 4 {
-		s0 += uint64(v[i])
-		s1 += uint64(v[i+1])
-		s2 += uint64(v[i+2])
-		s3 += uint64(v[i+3])
-	}
-	for ; i < len(v); i++ {
-		s0 += uint64(v[i])
-	}
-	return s0 + s1 + s2 + s3
-}
 
 // ScatterAddUint64 performs acc[lanes[i]] += vals[i] for every i.
 // lanes and vals must have equal length; extra vals elements are ignored.
@@ -130,45 +94,14 @@ func ScatterCountBytePairs(acc *[PairLanes]uint64, hi, lo []uint8) {
 	}
 }
 
-// MaskedSumUint64 returns the sum of vals[i] where lanes[i] == want,
-// using an arithmetic mask instead of a branch: the comparison becomes a
-// flag-set, the flag becomes an all-ones/all-zeros mask, and the add is
-// unconditional — nothing for the branch predictor to mispredict on
-// data-dependent lane patterns.
-func MaskedSumUint64(vals []uint64, lanes []uint8, want uint8) uint64 {
-	if len(vals) < len(lanes) {
-		lanes = lanes[:len(vals)]
-	}
-	vals = vals[:len(lanes)]
-	var sum uint64
-	for i, l := range lanes {
-		sum += vals[i] & -b2u(l == want)
-	}
-	return sum
-}
-
-// Select64 returns a when cond is true and b otherwise, compiled as a
+// Select8 returns a when cond is true and b otherwise, compiled as a
 // conditional move (no branch).
-func Select64(cond bool, a, b uint64) uint64 {
-	m := -b2u(cond)
-	return (a & m) | (b &^ m)
-}
-
-// Select8 is Select64 over lane bytes.
 func Select8(cond bool, a, b uint8) uint8 {
 	m := -b2u8(cond)
 	return (a & m) | (b &^ m)
 }
 
-// b2u converts a bool to 0/1 without a branch (the compiler emits SETcc).
-func b2u(b bool) uint64 {
-	var v uint64
-	if b {
-		v = 1
-	}
-	return v
-}
-
+// b2u8 converts a bool to 0/1 without a branch (the compiler emits SETcc).
 func b2u8(b bool) uint8 {
 	var v uint8
 	if b {

@@ -155,14 +155,6 @@ func (g *Generator) flowsForHourInto(b *flowrec.Batch, t time.Time, vols []float
 	}
 }
 
-// FlowsForHour samples synthetic flow records for the hour starting at t
-// as a record slice. It is a thin adapter over FlowsForHourBatch: the
-// batch is generated with exact capacity and materialised with one exact
-// allocation. Batch consumers should use FlowsForHourBatch directly.
-func (g *Generator) FlowsForHour(t time.Time) []flowrec.Record {
-	return g.FlowsForHourBatch(t).Records()
-}
-
 // ComponentFlowsForHourBatch samples one named component's flows for the
 // hour starting at t into a columnar batch sized from its flow count.
 func (g *Generator) ComponentFlowsForHourBatch(name string, t time.Time) *flowrec.Batch {
@@ -182,18 +174,11 @@ func (g *Generator) ComponentFlowsForHourBatch(name string, t time.Time) *flowre
 	return flowrec.NewBatch(0)
 }
 
-// ComponentFlowsForHour samples flow records for a single named component,
-// preallocated from the component's flow count (adapter over
-// ComponentFlowsForHourBatch).
-func (g *Generator) ComponentFlowsForHour(name string, t time.Time) []flowrec.Record {
-	return g.ComponentFlowsForHourBatch(name, t).Records()
-}
-
 // componentFlowsInto appends component c's flows for the hour starting at
 // t (already truncated) to b; vol is the component's precomputed modelled
 // volume for that hour. The RNG draw order is the contract here: it is a
-// pure function of (seed, component, hour), so batches, record slices and
-// the dataset cache all observe identical flows.
+// pure function of (seed, component, hour), so batches and the dataset
+// cache all observe identical flows.
 func (g *Generator) componentFlowsInto(b *flowrec.Batch, c Component, t time.Time, vol float64) {
 	if vol <= 0 {
 		return
@@ -309,12 +294,6 @@ func (g *Generator) FlowsBetweenBatch(from, to time.Time) *flowrec.Batch {
 		g.flowsForHourInto(b, t, vols)
 	}
 	return b
-}
-
-// FlowsBetween samples flows for every hour in [from, to) as a record
-// slice (adapter over FlowsBetweenBatch, one exact allocation).
-func (g *Generator) FlowsBetween(from, to time.Time) []flowrec.Record {
-	return g.FlowsBetweenBatch(from, to).Records()
 }
 
 func (g *Generator) addrFor(asn uint32, n uint32) netip.Addr {

@@ -8,9 +8,10 @@ import (
 	"lockdown/internal/flowrec"
 )
 
-// TestFlowsForHourBatchMatchesRecords pins the columnar generation path
-// to the record adapter: converting the record slice back into a batch
-// must reproduce the generated batch column for column.
+// TestFlowsForHourBatchMatchesRecords pins the Record oracle the
+// equivalence tests compare against to the columnar generation path:
+// converting the generated rows to records and back must reproduce the
+// batch column for column.
 func TestFlowsForHourBatchMatchesRecords(t *testing.T) {
 	g := MustNewDefault(ISPCE)
 	probe := time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
@@ -18,8 +19,8 @@ func TestFlowsForHourBatchMatchesRecords(t *testing.T) {
 	if b.Len() == 0 {
 		t.Fatal("expected flows for the probe hour")
 	}
-	if !reflect.DeepEqual(flowrec.FromRecords(g.FlowsForHour(probe)), b) {
-		t.Error("FlowsForHour records do not round-trip to the generated batch")
+	if !reflect.DeepEqual(flowrec.FromRecords(g.FlowsForHourBatch(probe).Records()), b) {
+		t.Error("generated records do not round-trip to the generated batch")
 	}
 }
 

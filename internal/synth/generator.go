@@ -164,27 +164,6 @@ func (g *Generator) HourlyVolume(t time.Time) float64 {
 	return v
 }
 
-// ComponentVolume returns the bytes of one named component for the hour
-// starting at t (zero for unknown names).
-func (g *Generator) ComponentVolume(name string, t time.Time) float64 {
-	for _, c := range g.cfg.Components {
-		if c.Name == name {
-			return c.VolumeAt(t, g.cfg.Seed)
-		}
-	}
-	return 0
-}
-
-// HourlyClassVolume returns the bytes of the hour starting at t broken
-// down by traffic class.
-func (g *Generator) HourlyClassVolume(t time.Time) map[Class]float64 {
-	out := make(map[Class]float64)
-	for _, c := range g.cfg.Components {
-		out[c.Class] += c.VolumeAt(t, g.cfg.Seed)
-	}
-	return out
-}
-
 // TotalSeries returns the hourly total-volume series for [from, to).
 func (g *Generator) TotalSeries(from, to time.Time) *timeseries.Series {
 	s := timeseries.New(string(g.cfg.VP) + " total")
@@ -206,15 +185,6 @@ func (g *Generator) ClassSeries(class Class, from, to time.Time) *timeseries.Ser
 			}
 		}
 		s.Add(t, v)
-	}
-	return s
-}
-
-// ComponentSeries returns the hourly series of one named component.
-func (g *Generator) ComponentSeries(name string, from, to time.Time) *timeseries.Series {
-	s := timeseries.New(string(g.cfg.VP) + " " + name)
-	for t := from.UTC().Truncate(time.Hour); t.Before(to); t = t.Add(time.Hour) {
-		s.Add(t, g.ComponentVolume(name, t))
 	}
 	return s
 }

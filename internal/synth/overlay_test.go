@@ -78,7 +78,7 @@ func TestModulationSilencesComponentHour(t *testing.T) {
 	if v := g.HourlyVolume(during); v != 0 {
 		t.Errorf("volume during factor-0 outage = %g, want exact 0", v)
 	}
-	if flows := g.FlowsForHour(during); len(flows) != 0 {
+	if flows := g.FlowsForHourBatch(during).Records(); len(flows) != 0 {
 		t.Errorf("sampled %d flows during a factor-0 outage, want 0", len(flows))
 	}
 	if b := g.FlowsForHourBatch(during); b.Len() != 0 {
@@ -93,7 +93,7 @@ func TestModulationSilencesComponentHour(t *testing.T) {
 		if got, want := g.HourlyVolume(probe), plain.HourlyVolume(probe); got != want {
 			t.Errorf("volume outside outage at %v: %g, want the unmodified %g", probe, got, want)
 		}
-		got, want := g.FlowsForHour(probe), plain.FlowsForHour(probe)
+		got, want := g.FlowsForHourBatch(probe).Records(), plain.FlowsForHourBatch(probe).Records()
 		if len(got) != len(want) {
 			t.Fatalf("flow count outside outage at %v: %d vs %d", probe, len(got), len(want))
 		}
@@ -203,7 +203,16 @@ func TestExtraHolidayTreatedAsWeekend(t *testing.T) {
 	// Office-hours traffic (web conferencing peaks at 3.4x during working
 	// hours) must collapse to its weekend behaviour on the extra holiday.
 	probe := holiday.Add(11 * time.Hour)
-	conf, confPlain := g.ComponentVolume("web-conferencing", probe), plain.ComponentVolume("web-conferencing", probe)
+	webConf := func(g *Generator) float64 {
+		for _, c := range g.cfg.Components {
+			if c.Name == "web-conferencing" {
+				return c.VolumeAt(probe, g.cfg.Seed)
+			}
+		}
+		t.Fatal("no web-conferencing component")
+		return 0
+	}
+	conf, confPlain := webConf(g), webConf(plain)
 	if conf >= confPlain*0.7 {
 		t.Errorf("web-conf on declared holiday = %.3g, want well below the workday %.3g", conf, confPlain)
 	}
@@ -212,7 +221,7 @@ func TestExtraHolidayTreatedAsWeekend(t *testing.T) {
 	if got, want := g.HourlyVolume(before), plain.HourlyVolume(before); got != want {
 		t.Errorf("volume on the eve of the extra holiday: %g, want unchanged %g", got, want)
 	}
-	gf, pf := g.FlowsForHour(before), plain.FlowsForHour(before)
+	gf, pf := g.FlowsForHourBatch(before).Records(), plain.FlowsForHourBatch(before).Records()
 	if len(gf) != len(pf) {
 		t.Errorf("flow count on the eve changed: %d vs %d", len(gf), len(pf))
 	}
@@ -282,7 +291,7 @@ func TestSamplerVersionTwo(t *testing.T) {
 
 	plain := MustNewDefault(ISPCE)
 	probe := date(2020, 3, 25).Add(20 * time.Hour)
-	pcgFlows, oldFlows := g.FlowsForHour(probe), plain.FlowsForHour(probe)
+	pcgFlows, oldFlows := g.FlowsForHourBatch(probe).Records(), plain.FlowsForHourBatch(probe).Records()
 	if len(pcgFlows) != len(oldFlows) {
 		t.Fatalf("flow count depends on the sampler version: %d vs %d", len(pcgFlows), len(oldFlows))
 	}
@@ -302,7 +311,7 @@ func TestSamplerVersionTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rerun := again.FlowsForHour(probe)
+	rerun := again.FlowsForHourBatch(probe).Records()
 	for i := range pcgFlows {
 		if pcgFlows[i] != rerun[i] {
 			t.Fatal("PCG sampling not deterministic")

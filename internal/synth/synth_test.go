@@ -125,7 +125,8 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 // probe, normalised by the week-3 baseline.
 func weeklyGrowth(g *Generator, probe time.Time) float64 {
 	base := g.TotalSeries(date(2020, 1, 13), date(2020, 1, 20)).Mean()
-	wk := calendar.WeekStart(probe)
+	day := calendar.DayStart(probe)
+	wk := day.AddDate(0, 0, -((int(day.Weekday()) + 6) % 7)) // ISO week Monday
 	cur := g.TotalSeries(wk, wk.AddDate(0, 0, 7)).Mean()
 	return cur / base
 }
@@ -325,11 +326,11 @@ func TestVolumeDeterminism(t *testing.T) {
 func TestFlowSamplingConsistency(t *testing.T) {
 	g := MustNewDefault(ISPCE)
 	probe := date(2020, 3, 25).Add(20 * time.Hour)
-	flows := g.FlowsForHour(probe)
+	flows := g.FlowsForHourBatch(probe).Records()
 	if len(flows) == 0 {
 		t.Fatal("no flows sampled")
 	}
-	again := g.FlowsForHour(probe)
+	again := g.FlowsForHourBatch(probe).Records()
 	if len(flows) != len(again) {
 		t.Fatalf("sampling not deterministic: %d vs %d", len(flows), len(again))
 	}
@@ -371,7 +372,7 @@ func TestFlowScaleReducesRecordCount(t *testing.T) {
 	}
 	full := MustNewDefault(ISPCE)
 	probe := date(2020, 3, 25).Add(20 * time.Hour)
-	if len(small.FlowsForHour(probe)) >= len(full.FlowsForHour(probe)) {
+	if small.FlowsForHourBatch(probe).Len() >= full.FlowsForHourBatch(probe).Len() {
 		t.Error("FlowScale < 1 should reduce the number of sampled flows")
 	}
 }
@@ -381,7 +382,7 @@ func TestEDUConnectionGrowthByClass(t *testing.T) {
 	countIn := func(name string, day time.Time) int {
 		n := 0
 		for h := 0; h < 24; h++ {
-			n += len(g.ComponentFlowsForHour(name, day.Add(time.Duration(h)*time.Hour)))
+			n += g.ComponentFlowsForHourBatch(name, day.Add(time.Duration(h)*time.Hour)).Len()
 		}
 		return n
 	}
@@ -468,7 +469,7 @@ func TestVPNGatewayPinning(t *testing.T) {
 	}
 	g.SetVPNGateways([]netip.Addr{gw})
 	probe := date(2020, 4, 22).Add(11 * time.Hour)
-	flows := g.ComponentFlowsForHour("vpn-tls", probe)
+	flows := g.ComponentFlowsForHourBatch("vpn-tls", probe).Records()
 	if len(flows) == 0 {
 		t.Fatal("no vpn-tls flows sampled")
 	}

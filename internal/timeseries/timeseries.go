@@ -1,14 +1,13 @@
 // Package timeseries provides the time-series container and operations the
 // lockdown analyses are built from: regular binning, resampling,
-// normalisation against a reference window, hour-of-day and day-of-week
-// profiles, differences between weeks and empirical CDFs.
+// normalisation against a reference value, daily and weekly aggregates,
+// and empirical CDFs.
 //
 // A Series is a sequence of (timestamp, value) points kept sorted by time.
 // The zero value is an empty, ready-to-use series.
 package timeseries
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -32,13 +31,6 @@ type Series struct {
 // New returns an empty series with the given name.
 func New(name string) *Series {
 	return &Series{Name: name}
-}
-
-// FromPoints builds a series from pre-existing points. The slice is copied.
-func FromPoints(name string, pts []Point) *Series {
-	s := &Series{Name: name, points: append([]Point(nil), pts...)}
-	s.sort()
-	return s
 }
 
 // Add appends an observation.
@@ -76,21 +68,6 @@ func (s *Series) Values() []float64 {
 		out[i] = p.V
 	}
 	return out
-}
-
-// Times returns just the observation timestamps in time order.
-func (s *Series) Times() []time.Time {
-	s.sort()
-	out := make([]time.Time, len(s.points))
-	for i, p := range s.points {
-		out[i] = p.T
-	}
-	return out
-}
-
-// Clone returns a deep copy of the series.
-func (s *Series) Clone() *Series {
-	return FromPoints(s.Name, s.Points())
 }
 
 // Total returns the sum of all values.
@@ -176,15 +153,6 @@ func (s *Series) Resample(bin time.Duration) *Series {
 	return out
 }
 
-// Scale returns a copy of the series with every value multiplied by f.
-func (s *Series) Scale(f float64) *Series {
-	out := New(s.Name)
-	for _, p := range s.Points() {
-		out.Add(p.T, p.V*f)
-	}
-	return out
-}
-
 // Normalize divides every value by ref and returns the result. A zero or
 // non-finite ref yields a series of NaNs; callers normally pass the
 // baseline-week mean or the series minimum.
@@ -200,40 +168,9 @@ func (s *Series) Normalize(ref float64) *Series {
 	return out
 }
 
-// NormalizeByMin normalises by the series minimum, the convention of
-// Figures 3 and 8 ("normalized to minimum").
-func (s *Series) NormalizeByMin() *Series { return s.Normalize(s.Min()) }
-
 // NormalizeByMax normalises by the series maximum, the convention of
 // Figure 2a.
 func (s *Series) NormalizeByMax() *Series { return s.Normalize(s.Max()) }
-
-// MeanBetween returns the mean value of observations with from <= t < to.
-func (s *Series) MeanBetween(from, to time.Time) float64 {
-	return s.Slice(from, to).Mean()
-}
-
-// HourOfDayProfile averages values by hour of day (0-23) over the whole
-// series, returning a 24-element profile. Hours with no observations are
-// NaN.
-func (s *Series) HourOfDayProfile() [24]float64 {
-	var sum [24]float64
-	var n [24]int
-	for _, p := range s.Points() {
-		h := p.T.UTC().Hour()
-		sum[h] += p.V
-		n[h]++
-	}
-	var out [24]float64
-	for h := 0; h < 24; h++ {
-		if n[h] == 0 {
-			out[h] = math.NaN()
-			continue
-		}
-		out[h] = sum[h] / float64(n[h])
-	}
-	return out
-}
 
 // DailyTotals sums values per UTC day and returns a new series stamped at
 // day midnights.
@@ -268,106 +205,4 @@ func (s *Series) Filter(keep func(Point) bool) *Series {
 		}
 	}
 	return out
-}
-
-// Map returns a new series with f applied to every value.
-func (s *Series) Map(f func(float64) float64) *Series {
-	out := New(s.Name)
-	for _, p := range s.Points() {
-		out.Add(p.T, f(p.V))
-	}
-	return out
-}
-
-// MovingAverage returns the centred moving average over a window of the
-// given number of points (must be odd and >= 1). Edge points average over
-// the available neighbours.
-func (s *Series) MovingAverage(window int) *Series {
-	if window < 1 || window%2 == 0 {
-		panic("timeseries: window must be odd and >= 1")
-	}
-	pts := s.Points()
-	out := New(s.Name)
-	half := window / 2
-	for i := range pts {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half + 1
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		var sum float64
-		for _, p := range pts[lo:hi] {
-			sum += p.V
-		}
-		out.Add(pts[i].T, sum/float64(hi-lo))
-	}
-	return out
-}
-
-// AlignError is returned by binary series operations when the two series do
-// not cover the same timestamps.
-type AlignError struct {
-	A, B string
-	At   time.Time
-}
-
-func (e *AlignError) Error() string {
-	return fmt.Sprintf("timeseries: %q and %q not aligned at %v", e.A, e.B, e.At)
-}
-
-// binaryOp applies op pointwise to two series that must share timestamps.
-func binaryOp(name string, a, b *Series, op func(x, y float64) float64) (*Series, error) {
-	pa, pb := a.Points(), b.Points()
-	if len(pa) != len(pb) {
-		return nil, &AlignError{A: a.Name, B: b.Name}
-	}
-	out := New(name)
-	for i := range pa {
-		if !pa[i].T.Equal(pb[i].T) {
-			return nil, &AlignError{A: a.Name, B: b.Name, At: pa[i].T}
-		}
-		out.Add(pa[i].T, op(pa[i].V, pb[i].V))
-	}
-	return out, nil
-}
-
-// Sub returns a - b for aligned series.
-func Sub(a, b *Series) (*Series, error) {
-	return binaryOp(a.Name+"-"+b.Name, a, b, func(x, y float64) float64 { return x - y })
-}
-
-// AddSeries returns a + b for aligned series.
-func AddSeries(a, b *Series) (*Series, error) {
-	return binaryOp(a.Name+"+"+b.Name, a, b, func(x, y float64) float64 { return x + y })
-}
-
-// Div returns a / b for aligned series; division by zero yields NaN.
-func Div(a, b *Series) (*Series, error) {
-	return binaryOp(a.Name+"/"+b.Name, a, b, func(x, y float64) float64 {
-		if y == 0 {
-			return math.NaN()
-		}
-		return x / y
-	})
-}
-
-// Sum adds any number of series that are pairwise aligned.
-func Sum(name string, series ...*Series) (*Series, error) {
-	if len(series) == 0 {
-		return New(name), nil
-	}
-	acc := series[0].Clone()
-	acc.Name = name
-	for _, s := range series[1:] {
-		next, err := AddSeries(acc, s)
-		if err != nil {
-			return nil, err
-		}
-		next.Name = name
-		acc = next
-	}
-	return acc, nil
 }
