@@ -61,6 +61,9 @@ type Dataset struct {
 	src    FlowSource
 	tracer *obs.Tracer
 
+	fpmu sync.Mutex
+	fps  map[synth.VantagePoint]string // see fingerprint
+
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	flows   []*flowEntry // installed flow entries, for the compaction scan
@@ -779,18 +782,32 @@ func (p *Pin) Release() {
 	d.enforceBudget()
 }
 
-// config builds the synth configuration for a vantage point under the
-// dataset's options.
-func (d *Dataset) config(vp synth.VantagePoint) synth.Config {
-	return d.opts.synthConfig(vp)
+// fingerprint returns the memoized synth.Config fingerprint of a vantage
+// point, the prefix of every cache key of its data. The options are fixed
+// for the dataset's life, so the configuration (DefaultConfig or the
+// scenario Model) is built once per vantage point rather than per lookup.
+func (d *Dataset) fingerprint(vp synth.VantagePoint) string {
+	d.fpmu.Lock()
+	fp, ok := d.fps[vp]
+	d.fpmu.Unlock()
+	if ok {
+		return fp
+	}
+	fp = d.opts.synthConfig(vp).Fingerprint()
+	d.fpmu.Lock()
+	if d.fps == nil {
+		d.fps = make(map[synth.VantagePoint]string)
+	}
+	d.fps[vp] = fp
+	d.fpmu.Unlock()
+	return fp
 }
 
 // Generator returns the shared generator of a vantage point. The instance
 // is safe for concurrent read-only use; never call its mutating methods.
 func (d *Dataset) Generator(vp synth.VantagePoint) (*synth.Generator, error) {
-	cfg := d.config(vp)
-	v, err := d.get("gen/"+cfg.Fingerprint(), func() (any, error) {
-		return synth.New(cfg)
+	v, err := d.get("gen/"+d.fingerprint(vp), func() (any, error) {
+		return synth.New(d.opts.synthConfig(vp))
 	})
 	if err != nil {
 		return nil, err
@@ -800,8 +817,7 @@ func (d *Dataset) Generator(vp synth.VantagePoint) (*synth.Generator, error) {
 
 // VPN returns the shared VPN-detection dataset of a vantage point.
 func (d *Dataset) VPN(vp synth.VantagePoint) (*VPNData, error) {
-	cfg := d.config(vp)
-	v, err := d.get("vpn/"+cfg.Fingerprint(), func() (any, error) {
+	v, err := d.get("vpn/"+d.fingerprint(vp), func() (any, error) {
 		g, err := d.Generator(vp)
 		if err != nil {
 			return nil, err
@@ -823,8 +839,7 @@ func hourKey(t time.Time) string {
 // of a vantage point. The series is sorted before it is published, so the
 // read-only methods of the returned instance are safe for concurrent use.
 func (d *Dataset) studySeries(vp synth.VantagePoint) (*timeseries.Series, error) {
-	cfg := d.config(vp)
-	v, err := d.get("study-series/"+cfg.Fingerprint(), func() (any, error) {
+	v, err := d.get("study-series/"+d.fingerprint(vp), func() (any, error) {
 		g, err := d.Generator(vp)
 		if err != nil {
 			return nil, err
@@ -852,8 +867,7 @@ func (d *Dataset) Series(vp synth.VantagePoint, from, to time.Time) (*timeseries
 		}
 		return s.Slice(from, to), nil
 	}
-	cfg := d.config(vp)
-	key := fmt.Sprintf("series/%s/%s-%s", cfg.Fingerprint(), hourKey(from), hourKey(to))
+	key := fmt.Sprintf("series/%s/%s-%s", d.fingerprint(vp), hourKey(from), hourKey(to))
 	v, err := d.get(key, func() (any, error) {
 		g, err := d.Generator(vp)
 		if err != nil {
@@ -873,8 +887,7 @@ func (d *Dataset) Series(vp synth.VantagePoint, from, to time.Time) (*timeseries
 // to), memoized by range.
 func (d *Dataset) ClassSeries(vp synth.VantagePoint, class synth.Class, from, to time.Time) (*timeseries.Series, error) {
 	from, to = from.UTC().Truncate(time.Hour), to.UTC().Truncate(time.Hour)
-	cfg := d.config(vp)
-	key := fmt.Sprintf("class-series/%s/%s/%s-%s", cfg.Fingerprint(), class, hourKey(from), hourKey(to))
+	key := fmt.Sprintf("class-series/%s/%s/%s-%s", d.fingerprint(vp), class, hourKey(from), hourKey(to))
 	v, err := d.get(key, func() (any, error) {
 		g, err := d.Generator(vp)
 		if err != nil {
@@ -900,8 +913,7 @@ func (d *Dataset) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Bat
 }
 
 func (d *Dataset) flowBatch(vp synth.VantagePoint, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
-	cfg := d.config(vp)
-	key := "flows/" + cfg.Fingerprint() + "/" + hourKey(hour)
+	key := "flows/" + d.fingerprint(vp) + "/" + hourKey(hour)
 	return d.getFlow(key, pin, func() (*flowrec.Batch, error) {
 		return d.src.FlowBatch(vp, hour.UTC().Truncate(time.Hour))
 	})
@@ -914,8 +926,7 @@ func (d *Dataset) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.
 }
 
 func (d *Dataset) vpnFlowBatch(vp synth.VantagePoint, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
-	cfg := d.config(vp)
-	key := "vpn-flows/" + cfg.Fingerprint() + "/" + hourKey(hour)
+	key := "vpn-flows/" + d.fingerprint(vp) + "/" + hourKey(hour)
 	return d.getFlow(key, pin, func() (*flowrec.Batch, error) {
 		return d.src.VPNFlowBatch(vp, hour.UTC().Truncate(time.Hour))
 	})
@@ -928,8 +939,7 @@ func (d *Dataset) ComponentFlowBatch(vp synth.VantagePoint, name string, hour ti
 }
 
 func (d *Dataset) componentFlowBatch(vp synth.VantagePoint, name string, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
-	cfg := d.config(vp)
-	key := "component-flows/" + cfg.Fingerprint() + "/" + name + "/" + hourKey(hour)
+	key := "component-flows/" + d.fingerprint(vp) + "/" + name + "/" + hourKey(hour)
 	return d.getFlow(key, pin, func() (*flowrec.Batch, error) {
 		return d.src.ComponentFlowBatch(vp, name, hour.UTC().Truncate(time.Hour))
 	})

@@ -120,9 +120,6 @@ func NewSyntheticSource(opts Options) *SyntheticSource {
 	}
 }
 
-// Options returns the options the source was built with.
-func (s *SyntheticSource) Options() Options { return s.opts }
-
 func (s *SyntheticSource) entry(m map[synth.VantagePoint]*sourceEntry, vp synth.VantagePoint) *sourceEntry {
 	s.mu.Lock()
 	e, ok := m[vp]

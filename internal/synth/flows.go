@@ -11,11 +11,12 @@ import (
 )
 
 // historicRNGPool amortises the historic sampler's per-component-hour
-// math/rand state (rand.Rand plus its ~5 KB rngSource) across hours and
-// goroutines; every Get is followed by a full Seed, so pooled state never
-// leaks between component-hours.
+// math/rand state (rand.Rand plus its ~7 KB historicSource) across hours
+// and goroutines; every Get is followed by a Seed, which starts a new
+// generation of the source's register, so pooled state never leaks
+// between component-hours.
 var historicRNGPool = sync.Pool{
-	New: func() any { return rand.New(rand.NewSource(0)) },
+	New: func() any { return rand.New(newHistoricSource(0)) },
 }
 
 // flowBasePerHour is the baseline number of flow records the sampler emits
@@ -48,7 +49,7 @@ func hourSeed(seed int64, name string, t time.Time) int64 {
 // response (with the weekend override applied the same way VolumeAt does),
 // times any scenario overlays so flow counts follow outages and flash
 // events the same way volumes do.
-func connMultiplier(c Component, t time.Time) float64 {
+func connMultiplier(c *Component, t time.Time) float64 {
 	weekend := c.weekendLike(t)
 	resp := c.Resp
 	if weekend && c.WeekendResp != nil {
@@ -72,7 +73,7 @@ func connMultiplier(c Component, t time.Time) float64 {
 // responses are strictly positive, so the raw count is never zero where
 // the volume model emits bytes; TestFlowCountClampOnlyTrimsLiveHours pins
 // that invariant).
-func (g *Generator) flowCount(c Component, t time.Time) int {
+func (g *Generator) flowCount(c *Component, t time.Time) int {
 	prof := c.Workday
 	if c.weekendLike(t) {
 		prof = c.Weekend
@@ -143,15 +144,15 @@ func (g *Generator) FlowsForHourBatch(t time.Time) *flowrec.Batch {
 func (g *Generator) flowsForHourInto(b *flowrec.Batch, t time.Time, vols []float64) {
 	comps := g.cfg.Components
 	n := 0
-	for i, c := range comps {
-		vols[i] = c.VolumeAt(t, g.cfg.Seed)
+	for i := range comps {
+		vols[i] = comps[i].VolumeAt(t, g.cfg.Seed)
 		if vols[i] > 0 {
-			n += g.flowCount(c, t)
+			n += g.flowCount(&comps[i], t)
 		}
 	}
 	b.Grow(n)
-	for i, c := range comps {
-		g.componentFlowsInto(b, c, t, vols[i])
+	for i := range comps {
+		g.componentFlowsInto(b, &comps[i], t, vols[i])
 	}
 }
 
@@ -159,8 +160,8 @@ func (g *Generator) flowsForHourInto(b *flowrec.Batch, t time.Time, vols []float
 // hour starting at t into a columnar batch sized from its flow count.
 func (g *Generator) ComponentFlowsForHourBatch(name string, t time.Time) *flowrec.Batch {
 	t = t.UTC().Truncate(time.Hour)
-	for _, c := range g.cfg.Components {
-		if c.Name == name {
+	for i := range g.cfg.Components {
+		if c := &g.cfg.Components[i]; c.Name == name {
 			vol := c.VolumeAt(t, g.cfg.Seed)
 			n := 0
 			if vol > 0 {
@@ -179,7 +180,7 @@ func (g *Generator) ComponentFlowsForHourBatch(name string, t time.Time) *flowre
 // volume for that hour. The RNG draw order is the contract here: it is a
 // pure function of (seed, component, hour), so batches and the dataset
 // cache all observe identical flows.
-func (g *Generator) componentFlowsInto(b *flowrec.Batch, c Component, t time.Time, vol float64) {
+func (g *Generator) componentFlowsInto(b *flowrec.Batch, c *Component, t time.Time, vol float64) {
 	if vol <= 0 {
 		return
 	}
@@ -192,10 +193,10 @@ func (g *Generator) componentFlowsInto(b *flowrec.Batch, c Component, t time.Tim
 		rng = newPCG(uint64(hourSeed(g.cfg.Seed, c.Name, t)))
 	} else {
 		// Boxing a freshly built *rand.Rand into the interface would
-		// defeat escape analysis and heap-allocate the ~5 KB generator
-		// state per component-hour, so the historic path re-seeds a
-		// pooled instance instead: Seed fully resets the source, making
-		// the draw sequence identical to rand.New(rand.NewSource(s)).
+		// defeat escape analysis and heap-allocate the generator state
+		// per component-hour, so the historic path re-seeds a pooled
+		// instance instead: Seed fully resets the source, making the
+		// draw sequence identical to rand.New(rand.NewSource(s)).
 		r := historicRNGPool.Get().(*rand.Rand)
 		r.Seed(hourSeed(g.cfg.Seed, c.Name, t))
 		defer historicRNGPool.Put(r)

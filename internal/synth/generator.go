@@ -158,8 +158,8 @@ func (g *Generator) Components() []Component { return g.cfg.Components }
 // HourlyVolume returns the total bytes of the hour starting at t.
 func (g *Generator) HourlyVolume(t time.Time) float64 {
 	var v float64
-	for _, c := range g.cfg.Components {
-		v += c.VolumeAt(t, g.cfg.Seed)
+	for i := range g.cfg.Components {
+		v += g.cfg.Components[i].VolumeAt(t, g.cfg.Seed)
 	}
 	return v
 }
@@ -179,8 +179,8 @@ func (g *Generator) ClassSeries(class Class, from, to time.Time) *timeseries.Ser
 	s := timeseries.New(string(g.cfg.VP) + " " + string(class))
 	for t := from.UTC().Truncate(time.Hour); t.Before(to); t = t.Add(time.Hour) {
 		var v float64
-		for _, c := range g.cfg.Components {
-			if c.Class == class {
+		for i := range g.cfg.Components {
+			if c := &g.cfg.Components[i]; c.Class == class {
 				v += c.VolumeAt(t, g.cfg.Seed)
 			}
 		}
@@ -221,7 +221,7 @@ func zipfWeights(n int) []float64 {
 
 // hypergiantShare returns the fraction of a component's volume originated
 // by hypergiant ASes, based on the component's Zipf source weights.
-func (g *Generator) hypergiantShare(c Component) float64 {
+func (g *Generator) hypergiantShare(c *Component) float64 {
 	w := zipfWeights(len(c.SrcASNs))
 	var share float64
 	for i, asn := range c.SrcASNs {
@@ -236,7 +236,8 @@ func (g *Generator) hypergiantShare(c Component) float64 {
 // hypergiant ASes and by all other ASes (Section 3.2, Figure 4). As in the
 // paper, only subscriber-facing (non-transit) traffic is considered.
 func (g *Generator) HypergiantSplit(t time.Time) (hypergiant, other float64) {
-	for _, c := range g.cfg.Components {
+	for i := range g.cfg.Components {
+		c := &g.cfg.Components[i]
 		if !c.Residential {
 			continue
 		}
@@ -266,7 +267,8 @@ func (g *Generator) HypergiantSeries(from, to time.Time) (hypergiant, other *tim
 // direction count as ingress for the EDU/ISP perspective and are split
 // evenly otherwise.
 func (g *Generator) DirectionSplit(t time.Time) (ingress, egress float64) {
-	for _, c := range g.cfg.Components {
+	for i := range g.cfg.Components {
+		c := &g.cfg.Components[i]
 		v := c.VolumeAt(t, g.cfg.Seed)
 		switch c.Dir {
 		case flowrec.DirIngress:
@@ -305,7 +307,8 @@ type ASHourVolume struct {
 // (residential traffic). It feeds the remote-work analysis of Section 3.4.
 func (g *Generator) ASVolumes(t time.Time) map[uint32]ASHourVolume {
 	out := make(map[uint32]ASHourVolume)
-	for _, c := range g.cfg.Components {
+	for i := range g.cfg.Components {
+		c := &g.cfg.Components[i]
 		v := c.VolumeAt(t, g.cfg.Seed)
 		w := zipfWeights(len(c.SrcASNs))
 		for i, asn := range c.SrcASNs {

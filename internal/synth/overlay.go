@@ -113,7 +113,7 @@ func (m Modulation) At(t time.Time) float64 {
 // for the hour (after the weekend/work-hours selection), which the waves
 // reuse. The built-in model has no overlays and returns 1 without
 // touching the clock.
-func (c Component) overlayMultiplier(t time.Time, peak float64) float64 {
+func (c *Component) overlayMultiplier(t time.Time, peak float64) float64 {
 	if len(c.Waves) == 0 && len(c.Mods) == 0 {
 		return 1
 	}
@@ -130,6 +130,6 @@ func (c Component) overlayMultiplier(t time.Time, peak float64) float64 {
 // weekendLike reports whether t should be treated as a weekend-like day
 // for this component: an actual weekend, a built-in regional holiday, or
 // a scenario-declared extra holiday.
-func (c Component) weekendLike(t time.Time) bool {
+func (c *Component) weekendLike(t time.Time) bool {
 	return calendar.IsWeekend(t) || calendar.IsHoliday(t) || c.Holidays.Contains(t)
 }

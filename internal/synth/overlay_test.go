@@ -33,7 +33,7 @@ func TestFlowCountClampOnlyTrimsLiveHours(t *testing.T) {
 					if vol <= 0 {
 						continue
 					}
-					n := g.flowCount(c, ts)
+					n := g.flowCount(&c, ts)
 					if n < 1 {
 						t.Fatalf("%s/%s at %v: volume %.3g but flow count %d — genuine-zero branch fired on the default model",
 							vp, c.Name, ts, vol, n)
@@ -44,7 +44,7 @@ func TestFlowCountClampOnlyTrimsLiveHours(t *testing.T) {
 					if c.weekendLike(ts) {
 						prof = c.Weekend
 					}
-					raw := flowBasePerHour * (prof.At(ts.UTC().Hour()) / prof.Mean()) * connMultiplier(c, ts) * scale
+					raw := flowBasePerHour * (prof.At(ts.UTC().Hour()) / prof.Mean()) * connMultiplier(&c, ts) * scale
 					if raw < 1 {
 						clampFired++
 					}

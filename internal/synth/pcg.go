@@ -11,11 +11,12 @@ type sampleRNG interface {
 }
 
 // pcg is a PCG-XSH-RR 64/32 generator seeded through splitmix64. It
-// replaces the per-component-hour rand.New(rand.NewSource(...)) of the
-// historic sampler for scenarios that opt into Config.SamplerVersion 2:
-// construction is two multiplications instead of math/rand's 607-word
-// lagged-Fibonacci seeding loop, which dominated the sampler profile
-// because every component-hour seeds a fresh generator.
+// replaces the per-component-hour math/rand stream of the historic sampler
+// for scenarios that opt into Config.SamplerVersion 2. Construction is two
+// multiplications; since historicSource seeds the historic stream lazily,
+// the speed gap between the two is small (BenchmarkSamplerHistoricHour vs
+// BenchmarkSamplerPCGHour), and the version mainly selects a different,
+// equally deterministic stream.
 type pcg struct {
 	state uint64
 	inc   uint64

@@ -318,7 +318,7 @@ type Component struct {
 }
 
 // bytesPerHourAtBase converts BaseGbps into bytes per hour.
-func (c Component) bytesPerHourAtBase() float64 {
+func (c *Component) bytesPerHourAtBase() float64 {
 	return c.BaseGbps * 1e9 / 8 * 3600
 }
 
@@ -344,7 +344,7 @@ func noise(seed int64, name string, t time.Time) float64 {
 }
 
 // VolumeAt returns the component's bytes for the hour starting at t.
-func (c Component) VolumeAt(t time.Time, seed int64) float64 {
+func (c *Component) VolumeAt(t time.Time, seed int64) float64 {
 	t = t.UTC()
 	hour := t.Hour()
 	weekend := c.weekendLike(t)

@@ -22,10 +22,10 @@ type Config struct {
 	// experiments cheaper without changing volumes.
 	FlowScale float64
 	// SamplerVersion selects the flow sampler's PRNG: 0 and 1 are the
-	// historic per-component-hour math/rand reseeding path (the golden
-	// default), 2 the splitmix64-seeded PCG fast path. Scenarios opt
-	// into 2 via their model version; flows differ between versions, so
-	// 2 requires a non-empty Variant.
+	// historic per-component-hour math/rand stream (the golden default,
+	// drawn through historicSource), 2 the splitmix64-seeded PCG. Scenarios
+	// opt into 2 via their model version; flows differ between versions,
+	// so 2 requires a non-empty Variant.
 	SamplerVersion int
 	// Variant tags configurations whose components differ from the
 	// built-in model of VP (compiled scenarios, sampler upgrades). It is
