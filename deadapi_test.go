@@ -25,8 +25,6 @@ var deadAPIAllow = map[string]string{
 	"lockdown/internal/goldentest.CompareResults": "test support: the golden tests compare results with it",
 	"lockdown/internal/synth.MustNewDefault":      "test support: tests build the default generator with it",
 
-	"lockdown/internal/synth.historicSource.Int63": "rand.Source: math/rand's Rand calls it through the interface",
-
 	"lockdown/internal/flowrec.Batch.Records":          "Record oracle: batch tests compare against the per-record form",
 	"lockdown/internal/flowrec.FromRecords":            "Record oracle: builds batches from hand-written records in tests",
 	"lockdown/internal/appclass.Classifier.Classify":   "Record oracle for the compiled class program",

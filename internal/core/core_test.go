@@ -372,13 +372,24 @@ func TestDatasetRespectsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.VP() != synth.ISPCE {
-		t.Errorf("unexpected vantage point %v", g.VP())
-	}
-	if !strings.Contains(g.Fingerprint(), "seed=77") {
-		t.Errorf("fingerprint %q should carry the seed override", g.Fingerprint())
+	fp := d.fingerprint(synth.ISPCE)
+	if !strings.HasPrefix(fp, "ISP-CE|") || !strings.Contains(fp, "seed=77") {
+		t.Errorf("fingerprint %q should name ISP-CE and carry the seed override", fp)
 	}
 	day := time.Date(2020, 2, 20, 0, 0, 0, 0, time.UTC)
+	cfg := synth.DefaultConfig(synth.ISPCE)
+	cfg.Seed, cfg.FlowScale = 77, 0.2
+	want, err := synth.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := day.Add(20 * time.Hour)
+	if got, w := g.HourlyVolume(probe), want.HourlyVolume(probe); got != w {
+		t.Errorf("generator volume %g, want %g from the seed-77 config", got, w)
+	}
+	if got, w := g.FlowsForHourBatch(probe).Len(), want.FlowsForHourBatch(probe).Len(); got != w {
+		t.Errorf("generator samples %d flows, want %d at flow scale 0.2", got, w)
+	}
 	s, err := d.Series(synth.ISPCE, day, day.AddDate(0, 0, 1))
 	if err != nil {
 		t.Fatal(err)

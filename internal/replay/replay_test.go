@@ -102,6 +102,22 @@ func batchesEqual(t testing.TB, want, got *flowrec.Batch) {
 	}
 }
 
+// settledPumpStats returns the pump's counters once its RowsSent has
+// caught up with rows, or after a 5 s deadline. The bridge completes a
+// bucket as soon as the announced rows have arrived, but the pump counts
+// them only after ExportBatchAt returns, so a snapshot taken right after
+// a fetch can trail the wire by the last bucket.
+func settledPumpStats(p *Pump, rows int64) PumpStats {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ps := p.Stats()
+		if ps.RowsSent >= rows || time.Now().After(deadline) {
+			return ps
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestBridgeServesAllKindsAllFormats(t *testing.T) {
 	opts := core.Options{FlowScale: 0.1}
 	ref := core.NewSyntheticSource(opts)
@@ -146,7 +162,7 @@ func TestBridgeServesAllKindsAllFormats(t *testing.T) {
 			if stats.Rows == 0 || stats.LostRows != 0 || stats.Retries != 0 {
 				t.Errorf("unexpected stats: %+v", stats)
 			}
-			if ps := pump.Stats(); ps.Requests != 3 || ps.RowsSent != stats.Rows {
+			if ps := settledPumpStats(pump, stats.Rows); ps.Requests != 3 || ps.RowsSent != stats.Rows {
 				t.Errorf("pump stats %+v do not match bridge stats %+v", ps, stats)
 			}
 		})

@@ -2,22 +2,11 @@ package synth
 
 import (
 	"hash/fnv"
-	"math/rand"
 	"net/netip"
-	"sync"
 	"time"
 
 	"lockdown/internal/flowrec"
 )
-
-// historicRNGPool amortises the historic sampler's per-component-hour
-// math/rand state (rand.Rand plus its ~7 KB historicSource) across hours
-// and goroutines; every Get is followed by a Seed, which starts a new
-// generation of the source's register, so pooled state never leaks
-// between component-hours.
-var historicRNGPool = sync.Pool{
-	New: func() any { return rand.New(newHistoricSource(0)) },
-}
 
 // flowBasePerHour is the baseline number of flow records the sampler emits
 // per component and hour (before shape/response scaling and FlowScale).
@@ -27,7 +16,9 @@ var historicRNGPool = sync.Pool{
 // volume analyses remain consistent with the volume model.
 const flowBasePerHour = 40
 
-// hourSeed derives a deterministic RNG seed for a component-hour.
+// hourSeed derives a deterministic RNG seed for a component-hour: an
+// FNV-1a hash of the generator seed, the component name and the hour
+// index, which newPCG expands through splitmix64.
 func hourSeed(seed int64, name string, t time.Time) int64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -96,9 +87,8 @@ func (g *Generator) flowCount(c *Component, t time.Time) int {
 
 // pickWeighted picks an index from precomputed Zipf weights using the
 // RNG. The RNG consumption contract matters for determinism: exactly one
-// Float64 is drawn when len(w) > 1 and none otherwise, matching the
-// historic per-flow sampler.
-func pickWeighted(rng sampleRNG, w []float64) int {
+// Float64 is drawn when len(w) > 1 and none otherwise.
+func pickWeighted(rng *pcg, w []float64) int {
 	if len(w) <= 1 {
 		return 0
 	}
@@ -177,9 +167,11 @@ func (g *Generator) ComponentFlowsForHourBatch(name string, t time.Time) *flowre
 
 // componentFlowsInto appends component c's flows for the hour starting at
 // t (already truncated) to b; vol is the component's precomputed modelled
-// volume for that hour. The RNG draw order is the contract here: it is a
-// pure function of (seed, component, hour), so batches and the dataset
-// cache all observe identical flows.
+// volume for that hour. The flows are a pure function of (seed, component,
+// hour): they come from one PCG seeded with hourSeed, drawn in a fixed
+// order per flow (source AS, destination AS, both endpoint indices, the
+// VPN gateway, the port pair, start, duration, bytes, client port), so
+// batches and the dataset cache all observe identical flows.
 func (g *Generator) componentFlowsInto(b *flowrec.Batch, c *Component, t time.Time, vol float64) {
 	if vol <= 0 {
 		return
@@ -188,20 +180,7 @@ func (g *Generator) componentFlowsInto(b *flowrec.Batch, c *Component, t time.Ti
 	if n == 0 {
 		return
 	}
-	var rng sampleRNG
-	if g.cfg.SamplerVersion >= 2 {
-		rng = newPCG(uint64(hourSeed(g.cfg.Seed, c.Name, t)))
-	} else {
-		// Boxing a freshly built *rand.Rand into the interface would
-		// defeat escape analysis and heap-allocate the generator state
-		// per component-hour, so the historic path re-seeds a pooled
-		// instance instead: Seed fully resets the source, making the
-		// draw sequence identical to rand.New(rand.NewSource(s)).
-		r := historicRNGPool.Get().(*rand.Rand)
-		r.Seed(hourSeed(g.cfg.Seed, c.Name, t))
-		defer historicRNGPool.Put(r)
-		rng = r
-	}
+	rng := newPCG(uint64(hourSeed(g.cfg.Seed, c.Name, t)))
 	bytesPerFlow := vol / float64(n)
 	if bytesPerFlow < 64 {
 		bytesPerFlow = 64
@@ -219,8 +198,8 @@ func (g *Generator) componentFlowsInto(b *flowrec.Batch, c *Component, t time.Ti
 
 	srcW, dstW := g.zipfFor(len(c.SrcASNs)), g.zipfFor(len(c.DstASNs))
 	for i := 0; i < n; i++ {
-		srcASN := c.SrcASNs[pickWeighted(rng, srcW)]
-		dstASN := c.DstASNs[pickWeighted(rng, dstW)]
+		srcASN := c.SrcASNs[pickWeighted(&rng, srcW)]
+		dstASN := c.DstASNs[pickWeighted(&rng, dstW)]
 
 		srcIP := g.addrFor(srcASN, uint32(rng.Intn(scaledPool)))
 		dstIP := g.addrFor(dstASN, uint32(rng.Intn(scaledPool)))

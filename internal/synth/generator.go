@@ -36,12 +36,6 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.FlowScale <= 0 {
 		cfg.FlowScale = 1
 	}
-	if cfg.SamplerVersion > 2 {
-		return nil, fmt.Errorf("synth: unknown sampler version %d (have 0-2)", cfg.SamplerVersion)
-	}
-	if cfg.SamplerVersion == 2 && cfg.Variant == "" {
-		return nil, fmt.Errorf("synth: sampler version 2 changes the flow stream and requires a variant tag")
-	}
 	seen := make(map[string]bool, len(cfg.Components))
 	for _, c := range cfg.Components {
 		if c.Name == "" {
@@ -123,20 +117,16 @@ func (g *Generator) WithVPNGateways(addrs []netip.Addr) *Generator {
 	return &c
 }
 
-// Fingerprint returns a stable identifier of the generator's input space:
-// vantage point, seed, flow-sampling scale, and — when set — the Variant
-// tag of a modified model. For generators built from the built-in
+// Fingerprint returns a stable identifier of the configuration's input
+// space: vantage point, seed, flow-sampling scale, and — when set — the
+// Variant tag of a modified model. For configurations from the built-in
 // component model (DefaultConfig), equal fingerprints imply byte-identical
 // series and flow samples, so the fingerprint is a safe memoization key
-// for derived datasets. Compiled scenarios and sampler upgrades must carry
-// a distinct Variant; hand-edited Components or a custom Registry without
-// one are not covered — do not key caches on it for such configurations.
-func (g *Generator) Fingerprint() string { return g.cfg.Fingerprint() }
-
-// Fingerprint returns the memoization key of the configuration; see
-// Generator.Fingerprint. The variant suffix appears only for non-default
-// configurations, keeping the golden default's keys (and every cache path
-// derived from them) unchanged.
+// for derived datasets. Compiled scenarios must carry a distinct Variant;
+// hand-edited Components or a custom Registry without one are not covered
+// — do not key caches on it for such configurations. The variant suffix
+// appears only for non-default configurations, keeping the golden
+// default's keys (and every cache path derived from them) unchanged.
 func (c Config) Fingerprint() string {
 	fp := fmt.Sprintf("%s|seed=%d|scale=%g", c.VP, c.Seed, c.FlowScale)
 	if c.Variant != "" {
@@ -145,15 +135,8 @@ func (c Config) Fingerprint() string {
 	return fp
 }
 
-// VP returns the vantage point this generator models.
-func (g *Generator) VP() VantagePoint { return g.cfg.VP }
-
 // Registry returns the AS registry backing the generator.
 func (g *Generator) Registry() *asdb.Registry { return g.reg }
-
-// Components returns the modelled components. The slice is shared; do not
-// modify.
-func (g *Generator) Components() []Component { return g.cfg.Components }
 
 // HourlyVolume returns the total bytes of the hour starting at t.
 func (g *Generator) HourlyVolume(t time.Time) float64 {
@@ -187,19 +170,6 @@ func (g *Generator) ClassSeries(class Class, from, to time.Time) *timeseries.Ser
 		s.Add(t, v)
 	}
 	return s
-}
-
-// Classes returns the distinct traffic classes present in the model.
-func (g *Generator) Classes() []Class {
-	seen := make(map[Class]bool)
-	var out []Class
-	for _, c := range g.cfg.Components {
-		if !seen[c.Class] {
-			seen[c.Class] = true
-			out = append(out, c.Class)
-		}
-	}
-	return out
 }
 
 // zipfWeights returns normalised 1/(i+1) weights for n items.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lockdown/internal/calendar"
+	"lockdown/internal/flowrec"
 )
 
 // TestFlowCountClampOnlyTrimsLiveHours proves the invariant the zero-flow
@@ -27,7 +28,7 @@ func TestFlowCountClampOnlyTrimsLiveHours(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range g.Components() {
+			for _, c := range cfg.Components {
 				for ts := calendar.StudyStart; ts.Before(calendar.StudyEnd); ts = ts.Add(time.Hour) {
 					vol := c.VolumeAt(ts, cfg.Seed)
 					if vol <= 0 {
@@ -227,7 +228,7 @@ func TestExtraHolidayTreatedAsWeekend(t *testing.T) {
 	}
 }
 
-// TestPCGDeterminism pins the PCG fast path's contract: reproducible
+// TestPCGDeterminism pins the sampler PRNG's contract: reproducible
 // streams per seed, decorrelated streams across seeds, and in-range
 // outputs.
 func TestPCGDeterminism(t *testing.T) {
@@ -268,60 +269,35 @@ func TestPCGDeterminism(t *testing.T) {
 	}
 }
 
-// TestSamplerVersionTwo verifies the PCG sampler path: it must be guarded
-// by a variant tag, keep flow counts and record validity identical to the
-// historic path (the count is RNG-free), produce a different — but
-// deterministic — stream, and stamp a distinct fingerprint.
-func TestSamplerVersionTwo(t *testing.T) {
+// TestSamplerReproducibleAcrossGenerators pins the sampler's contract for
+// a probe hour: every sampled row is a valid record, and two generators
+// built from one config sample identical rows (the stream is a pure
+// function of seed, component and hour, with no state shared between
+// generators).
+func TestSamplerReproducibleAcrossGenerators(t *testing.T) {
 	cfg := DefaultConfig(ISPCE)
-	cfg.SamplerVersion = 2
-	if _, err := New(cfg); err == nil {
-		t.Error("sampler version 2 without a variant tag accepted")
-	}
-	cfg.Variant = "pcg"
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := cfg
-	bad.SamplerVersion = 3
-	if _, err := New(bad); err == nil {
-		t.Error("unknown sampler version accepted")
-	}
-
-	plain := MustNewDefault(ISPCE)
 	probe := date(2020, 3, 25).Add(20 * time.Hour)
-	pcgFlows, oldFlows := g.FlowsForHourBatch(probe).Records(), plain.FlowsForHourBatch(probe).Records()
-	if len(pcgFlows) != len(oldFlows) {
-		t.Fatalf("flow count depends on the sampler version: %d vs %d", len(pcgFlows), len(oldFlows))
-	}
-	differs := false
-	for i := range pcgFlows {
-		if err := pcgFlows[i].Validate(); err != nil {
-			t.Fatalf("invalid PCG-sampled record: %v", err)
+	var rows [2][]flowrec.Record
+	for i := range rows {
+		g, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pcgFlows[i] != oldFlows[i] {
-			differs = true
+		rows[i] = g.FlowsForHourBatch(probe).Records()
+	}
+	if len(rows[0]) == 0 {
+		t.Fatal("no flows sampled")
+	}
+	if len(rows[0]) != len(rows[1]) {
+		t.Fatalf("flow count differs between generators: %d vs %d", len(rows[0]), len(rows[1]))
+	}
+	for i, r := range rows[0] {
+		if err := r.Validate(); err != nil {
+			t.Fatalf("invalid sampled record: %v", err)
 		}
-	}
-	if !differs {
-		t.Error("PCG sampler reproduced the math/rand stream exactly; version gate is not selecting it")
-	}
-	again, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rerun := again.FlowsForHourBatch(probe).Records()
-	for i := range pcgFlows {
-		if pcgFlows[i] != rerun[i] {
-			t.Fatal("PCG sampling not deterministic")
+		if r != rows[1][i] {
+			t.Fatalf("row %d differs between generators built from one config", i)
 		}
-	}
-
-	if fp := g.Fingerprint(); fp == plain.Fingerprint() {
-		t.Error("variant config shares the default fingerprint")
-	} else if want := plain.Fingerprint() + "|variant=pcg"; fp != want {
-		t.Errorf("fingerprint = %q, want %q", fp, want)
 	}
 }
 
@@ -330,17 +306,10 @@ func approxEq(a, b float64) bool {
 	return d < 1e-9 && d > -1e-9
 }
 
-// The sampler benchmarks measure one full ISP-CE hour (24 components, each
-// seeding a fresh generator) on both PRNG paths; the delta is the
-// per-component-hour reseeding cost the ROADMAP flags.
-func benchmarkSamplerHour(b *testing.B, version int, variant string) {
-	cfg := DefaultConfig(ISPCE)
-	cfg.SamplerVersion = version
-	cfg.Variant = variant
-	g, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkSamplerHour measures one full ISP-CE hour: 24 components, each
+// seeding a fresh PCG and sampling its flows into the hour's batch.
+func BenchmarkSamplerHour(b *testing.B) {
+	g := MustNewDefault(ISPCE)
 	probe := date(2020, 3, 25).Add(20 * time.Hour)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -348,6 +317,3 @@ func benchmarkSamplerHour(b *testing.B, version int, variant string) {
 		g.FlowsForHourBatch(probe)
 	}
 }
-
-func BenchmarkSamplerHistoricHour(b *testing.B) { benchmarkSamplerHour(b, 0, "") }
-func BenchmarkSamplerPCGHour(b *testing.B)      { benchmarkSamplerHour(b, 2, "pcg") }

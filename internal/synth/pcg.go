@@ -1,22 +1,9 @@
 package synth
 
-// sampleRNG is the randomness contract of the flow sampler: the historic
-// math/rand path and the PCG fast path both satisfy it, and the sampler's
-// draw order is identical across them — only the stream of values differs.
-type sampleRNG interface {
-	// Float64 returns a uniform value in [0, 1).
-	Float64() float64
-	// Intn returns a uniform value in [0, n). It panics if n <= 0.
-	Intn(n int) int
-}
-
-// pcg is a PCG-XSH-RR 64/32 generator seeded through splitmix64. It
-// replaces the per-component-hour math/rand stream of the historic sampler
-// for scenarios that opt into Config.SamplerVersion 2. Construction is two
-// multiplications; since historicSource seeds the historic stream lazily,
-// the speed gap between the two is small (BenchmarkSamplerHistoricHour vs
-// BenchmarkSamplerPCGHour), and the version mainly selects a different,
-// equally deterministic stream.
+// pcg is a PCG-XSH-RR 64/32 generator seeded through splitmix64: the flow
+// sampler draws every component-hour from a fresh one, seeded with
+// hourSeed. Construction is two splitmix64 steps, so a component-hour pays
+// nothing for reseeding, and the value lives on the sampler's stack.
 type pcg struct {
 	state uint64
 	inc   uint64
@@ -36,9 +23,9 @@ func splitmix64(x *uint64) uint64 {
 
 // newPCG returns a PCG generator whose state and stream are both derived
 // from seed via splitmix64.
-func newPCG(seed uint64) *pcg {
+func newPCG(seed uint64) pcg {
 	s := seed
-	return &pcg{
+	return pcg{
 		state: splitmix64(&s),
 		inc:   splitmix64(&s) | 1, // increment must be odd
 	}

@@ -91,12 +91,19 @@ func TestDefaultConfigsValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", vp, err)
 		}
-		if g.VP() != vp {
-			t.Errorf("VP() = %v, want %v", g.VP(), vp)
+		if g.cfg.VP != vp {
+			t.Errorf("config VP = %v, want %v", g.cfg.VP, vp)
 		}
 		if v := g.HourlyVolume(date(2020, 2, 19).Add(20 * time.Hour)); v <= 0 {
 			t.Errorf("%s: zero baseline volume", vp)
 		}
+	}
+	// A Variant tag keeps a modified model's cache keys apart from the
+	// default's, whose fingerprint carries no suffix.
+	cfg := DefaultConfig(ISPCE)
+	cfg.Variant = "w2"
+	if got, want := cfg.Fingerprint(), DefaultConfig(ISPCE).Fingerprint()+"|variant=w2"; got != want {
+		t.Errorf("variant fingerprint = %q, want %q", got, want)
 	}
 }
 
@@ -273,7 +280,10 @@ func TestPatternBecomesWeekendLike(t *testing.T) {
 
 func TestClassSeriesAndClasses(t *testing.T) {
 	g := MustNewDefault(IXPCE)
-	classes := g.Classes()
+	classes := make(map[Class]bool)
+	for _, c := range g.cfg.Components {
+		classes[c.Class] = true
+	}
 	if len(classes) < 10 {
 		t.Fatalf("expected a rich class mix, got %d", len(classes))
 	}
@@ -336,7 +346,7 @@ func TestFlowSamplingConsistency(t *testing.T) {
 	}
 	var sum float64
 	validPorts := make(map[flowrec.PortProto]bool)
-	for _, c := range g.Components() {
+	for _, c := range g.cfg.Components {
 		for _, p := range c.Ports {
 			validPorts[p] = true
 		}
